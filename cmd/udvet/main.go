@@ -1,10 +1,9 @@
 // Command udvet is the repo-specific multichecker: it parses the Go
 // source under the given directories (default: the current module) and
-// runs the analyzers in internal/vet — deprecated-constructor calls
-// outside open_test.go, and non-atomic access to the internal/obs
-// runtime counters. The exit status is 0 when clean, 1 when any
-// diagnostic fires, and 2 when loading fails. CI runs it in the lint
-// leg next to go vet.
+// runs the analyzers in internal/vet — today atomiccounter, which flags
+// non-atomic access to the internal/obs runtime counters. The exit
+// status is 0 when clean, 1 when any diagnostic fires, and 2 when
+// loading fails. CI runs it in the lint leg next to go vet.
 //
 // Usage:
 //

@@ -68,9 +68,9 @@ func main() {
 			}
 		}
 		// Hazard census from one full-waveform engine.
-		var par *udsim.ParallelSim
+		var par *udsim.CompiledSim
 		for _, e := range engines {
-			if p, ok := e.(*udsim.ParallelSim); ok && e.EngineName() == "parallel" {
+			if p, ok := e.(*udsim.CompiledSim); ok && e.EngineName() == "parallel" {
 				par = p
 				break
 			}

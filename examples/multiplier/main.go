@@ -26,7 +26,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sim := eng.(*udsim.ParallelSim) // ShiftCount sits below the Introspector surface
+	sim := eng.(*udsim.CompiledSim) // ShiftCount sits below the Introspector surface
 	fmt.Printf("engine: %s, depth %d gate delays, %d compiled instructions, %d retained shifts\n",
 		sim.EngineName(), sim.Depth(), sim.CodeSize(), sim.ShiftCount())
 

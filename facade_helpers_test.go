@@ -3,22 +3,21 @@ package udsim
 // Test-only constructors over the finalized facade: tests that reach
 // past the Engine interface (trim stats, dead-store elimination, shard
 // plans) open through Open like every other caller and assert down to
-// the concrete engine. The deprecated NewParallel/NewPCSet wrappers are
-// exercised only by the Open-equivalence test in open_test.go.
+// the concrete compiled engine.
 
 // openParallelSim opens a parallel-technique engine and returns the
 // concrete simulator.
-func openParallelSim(c *Circuit, opts ...Option) (*ParallelSim, error) {
+func openParallelSim(c *Circuit, opts ...Option) (*CompiledSim, error) {
 	e, err := Open(c, TechParallel, opts...)
 	if err != nil {
 		return nil, err
 	}
-	return e.(*ParallelSim), nil
+	return e.(*CompiledSim), nil
 }
 
 // openPCSetSim opens a PC-set engine with the given monitor set and
 // returns the concrete simulator.
-func openPCSetSim(c *Circuit, monitor []NetID, opts ...Option) (*PCSetSim, error) {
+func openPCSetSim(c *Circuit, monitor []NetID, opts ...Option) (*CompiledSim, error) {
 	if monitor != nil {
 		opts = append(opts, WithMonitor(monitor...))
 	}
@@ -26,5 +25,5 @@ func openPCSetSim(c *Circuit, monitor []NetID, opts ...Option) (*PCSetSim, error
 	if err != nil {
 		return nil, err
 	}
-	return e.(*PCSetSim), nil
+	return e.(*CompiledSim), nil
 }

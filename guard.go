@@ -5,8 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"udsim/internal/parsim"
-	"udsim/internal/pcset"
+	"udsim/internal/engine"
 	"udsim/internal/refsim"
 	"udsim/internal/resilience"
 )
@@ -86,102 +85,19 @@ func WithFaultInjection(inj FaultInjector) Option {
 	return func(o *options) { o.inject = inj }
 }
 
-// guardBase is the engine surface GuardedSim supervises and delegates
-// to; both compiled wrappers satisfy it.
-type guardBase interface {
-	Engine
-	Tracer
-	Closer
-	Streamer
-	Introspector
-	Observable
-}
-
-// guardCore is the technique-neutral view of a compiled simulator's
-// guard primitives (the concrete checkpoint types differ).
-type guardCore interface {
-	ApplyVectorCtx(ctx context.Context, vec []bool) error
-	ArmGuard(ctx context.Context)
-	DisarmGuard()
-	Save()
-	Rollback(detach bool) error
-	Quarantine() bool
-	SetGuard(budget, grace time.Duration)
-	SetInjector(inj FaultInjector)
-	FinalSlot(n NetID) (slot int, mask uint64)
-	ScheduleLevels() int
-}
-
-type parallelCore struct {
-	s  *parsim.Sim
-	ck parsim.Checkpoint
-}
-
-func (c *parallelCore) ApplyVectorCtx(ctx context.Context, vec []bool) error {
-	return c.s.ApplyVectorCtx(ctx, vec)
-}
-func (c *parallelCore) ArmGuard(ctx context.Context) { c.s.ArmGuard(ctx) }
-func (c *parallelCore) DisarmGuard()                 { c.s.DisarmGuard() }
-func (c *parallelCore) Save()                        { c.s.Save(&c.ck) }
-func (c *parallelCore) Rollback(detach bool) error {
-	if detach {
-		c.s.DetachState()
-	}
-	return c.s.Restore(&c.ck)
-}
-func (c *parallelCore) Quarantine() bool                     { return c.s.Quarantine() }
-func (c *parallelCore) SetGuard(budget, grace time.Duration) { c.s.SetGuard(budget, grace) }
-func (c *parallelCore) SetInjector(inj FaultInjector)        { c.s.SetInjector(inj) }
-func (c *parallelCore) FinalSlot(n NetID) (int, uint64)      { return c.s.FinalSlot(n) }
-func (c *parallelCore) ScheduleLevels() int {
-	if p := c.s.ExecPlan(); p != nil {
-		return p.Assignment().Levels
-	}
-	return 1
-}
-
-type pcsetCore struct {
-	s  *pcset.Sim
-	ck pcset.Checkpoint
-}
-
-func (c *pcsetCore) ApplyVectorCtx(ctx context.Context, vec []bool) error {
-	return c.s.ApplyVectorCtx(ctx, vec)
-}
-func (c *pcsetCore) ArmGuard(ctx context.Context) { c.s.ArmGuard(ctx) }
-func (c *pcsetCore) DisarmGuard()                 { c.s.DisarmGuard() }
-func (c *pcsetCore) Save()                        { c.s.Save(&c.ck) }
-func (c *pcsetCore) Rollback(detach bool) error {
-	if detach {
-		c.s.DetachState()
-	}
-	return c.s.Restore(&c.ck)
-}
-func (c *pcsetCore) Quarantine() bool                     { return c.s.Quarantine() }
-func (c *pcsetCore) SetGuard(budget, grace time.Duration) { c.s.SetGuard(budget, grace) }
-func (c *pcsetCore) SetInjector(inj FaultInjector)        { c.s.SetInjector(inj) }
-func (c *pcsetCore) FinalSlot(n NetID) (int, uint64)      { return c.s.FinalSlot(n) }
-func (c *pcsetCore) ScheduleLevels() int {
-	if p := c.s.ExecPlan(); p != nil {
-		return p.Assignment().Levels
-	}
-	return 1
-}
-
 // wrapGuard applies the WithGuard/WithFaultInjection options to a built
 // compiled engine.
-func wrapGuard(base guardBase, core guardCore, o options) (Engine, error) {
+func wrapGuard(base *CompiledSim, o options) (Engine, error) {
 	if !o.guardSet {
 		if o.inject != nil {
 			return nil, fmt.Errorf("udsim: WithFaultInjection requires WithGuard")
 		}
 		return base, nil
 	}
-	core.SetGuard(o.guard.LevelBudget, o.guard.Grace())
-	core.SetInjector(o.inject)
+	base.s.SetGuard(o.guard.LevelBudget, o.guard.Grace())
+	base.s.SetInjector(o.inject)
 	return &GuardedSim{
 		base: base,
-		core: core,
 		pol:  o.guard,
 		obs:  o.observer,
 		inj:  o.inject,
@@ -198,8 +114,8 @@ func wrapGuard(base guardBase, core guardCore, o options) (Engine, error) {
 // Like the engines it wraps, a GuardedSim is not safe for concurrent
 // use.
 type GuardedSim struct {
-	base guardBase
-	core guardCore
+	base *CompiledSim
+	ck   engine.Checkpoint // the current batch's rollback point
 	pol  GuardPolicy
 	obs  *Observer
 	inj  FaultInjector
@@ -254,28 +170,20 @@ func (g *GuardedSim) Snapshot() *Snapshot { return g.base.Snapshot() }
 // Close releases the wrapped engine's workers.
 func (g *GuardedSim) Close() { g.base.Close() }
 
+// compiled implements compiledEngine.
+func (g *GuardedSim) compiled() *CompiledSim { return g.base }
+
 // Clone returns an independent guarded engine supervising a clone of
 // the wrapped simulator under the same policy and injector: the clone
 // shares the compiled programs (no recompilation) and the attached
 // Observer, and owns its own checkpoint, degradation state and fault
-// record. See (*ParallelSim).Clone for observer-sharing semantics.
+// record. See (*CompiledSim).Clone for observer-sharing semantics.
 func (g *GuardedSim) Clone() (Engine, error) {
-	cb, ok := g.base.(Cloner)
-	if !ok {
-		return nil, fmt.Errorf("udsim: %s does not support cloning", g.base.EngineName())
-	}
-	e, err := cb.Clone()
+	cl, err := g.base.clone()
 	if err != nil {
 		return nil, err
 	}
-	o := options{guard: g.pol, guardSet: true, inject: g.inj, observer: g.obs}
-	switch s := e.(type) {
-	case *ParallelSim:
-		return wrapGuard(s, &parallelCore{s: s.s}, o)
-	case *PCSetSim:
-		return wrapGuard(s, &pcsetCore{s: s.s}, o)
-	}
-	return nil, fmt.Errorf("udsim: cannot re-guard cloned engine %s", e.EngineName())
+	return wrapGuard(cl, options{guard: g.pol, guardSet: true, inject: g.inj, observer: g.obs})
 }
 
 // Degraded reports whether a fault has quarantined the execution
@@ -296,8 +204,12 @@ func (g *GuardedSim) Policy() GuardPolicy { return g.pol }
 // the current schedule (a flip injected any earlier may be overwritten
 // before the vector finishes). Drills and tests only.
 func (g *GuardedSim) FaultTarget(n NetID) (slot int, mask uint64, lastLevel int) {
-	slot, mask = g.core.FinalSlot(n)
-	return slot, mask, g.core.ScheduleLevels() - 1
+	slot, mask = g.base.s.FinalSlot(n)
+	levels := 1
+	if p := g.base.s.ExecPlan(); p != nil {
+		levels = p.Assignment().Levels
+	}
+	return slot, mask, levels - 1
 }
 
 // Apply simulates one input vector under guard — a one-vector batch:
@@ -328,16 +240,16 @@ func (g *GuardedSim) ApplyStreamCtx(ctx context.Context, vecs [][]bool) error {
 	if len(vecs) == 0 {
 		return nil
 	}
-	g.core.Save()
+	g.base.s.Save(&g.ck)
 	// Arm the watchdog once for the whole batch — per-vector arming
 	// would pay two channel handshakes with the watchdog goroutine per
 	// run. It must be disarmed before quarantining (which closes the
 	// sharded engine) and before returning.
-	g.core.ArmGuard(ctx)
-	defer g.core.DisarmGuard()
+	g.base.s.ArmGuard(ctx)
+	defer g.base.s.DisarmGuard()
 	attempt := 0
 	for i := 0; i < len(vecs); {
-		err := g.core.ApplyVectorCtx(ctx, vecs[i])
+		err := g.base.s.ApplyVectorCtx(ctx, vecs[i])
 		if err == nil {
 			g.applied++
 			if n := g.pol.CrossCheckEvery; n > 0 && g.applied%int64(n) == 0 {
@@ -366,8 +278,8 @@ func (g *GuardedSim) ApplyStreamCtx(ctx context.Context, vecs [][]bool) error {
 			// First fault: quarantine the execution strategy and replay
 			// the batch sequentially from the checkpoint. Quarantining is
 			// not a retry — the sequential path gets its own attempts.
-			g.core.DisarmGuard()
-			leaked := g.core.Quarantine()
+			g.base.s.DisarmGuard()
+			leaked := g.base.s.Quarantine()
 			g.degraded = true
 			if g.obs != nil {
 				g.obs.AddGuardQuarantine()
@@ -405,7 +317,10 @@ func (g *GuardedSim) ApplyStreamCtx(ctx context.Context, vecs [][]bool) error {
 // abandons the state array first (a leaked worker may still write it).
 func (g *GuardedSim) rollback(i int, detach bool) error {
 	g.applied -= int64(i)
-	return g.core.Rollback(detach)
+	if detach {
+		g.base.s.DetachState()
+	}
+	return g.base.s.Restore(&g.ck)
 }
 
 // crossCheck compares the primary outputs of the last applied vector

@@ -5,6 +5,7 @@ import (
 	"os/exec"
 	"time"
 
+	"udsim/internal/engine"
 	"udsim/internal/native"
 	"udsim/internal/parsim"
 	"udsim/internal/pcset"
@@ -41,39 +42,29 @@ func Native(o Options) (*Result, error) {
 		}
 		norm := c.Normalize()
 		for _, tech := range []string{"parallel", "pcset"} {
-			var (
-				cfg   native.Config
-				dLoop time.Duration
-			)
+			var core *engine.Core
 			switch tech {
 			case "parallel":
 				s, err := parsim.Compile(norm, parsim.Config{WordBits: o.WordBits})
 				if err != nil {
 					return nil, err
 				}
-				dLoop, err = bestOf(o.Repeats, func() error { return s.ResetConsistent(nil) }, vecs, s.ApplyVector)
-				if err != nil {
-					return nil, err
-				}
-				pi, pm := s.Programs()
-				cfg = native.Config{
-					Layout: native.ParallelLayout(s, norm),
-					Init:   pi, Sim: pm,
-				}
+				core = s.Core
 			case "pcset":
 				s, err := pcset.Compile(norm, nil)
 				if err != nil {
 					return nil, err
 				}
-				dLoop, err = bestOf(o.Repeats, func() error { return s.ResetConsistent(nil) }, vecs, s.ApplyVector)
-				if err != nil {
-					return nil, err
-				}
-				pi, pm := s.Programs()
-				cfg = native.Config{
-					Layout: native.PCSetLayout(s, norm),
-					Init:   pi, Sim: pm,
-				}
+				core = s.Core
+			}
+			dLoop, err := bestOf(o.Repeats, func() error { return core.ResetConsistent(nil) }, vecs, core.ApplyVector)
+			if err != nil {
+				return nil, err
+			}
+			pi, pm := core.Programs()
+			cfg := native.Config{
+				Layout: native.LayoutOf(core),
+				Init:   pi, Sim: pm,
 			}
 			cfg.Engine = "native/" + tech
 			cfg.Technique = tech

@@ -3,59 +3,34 @@ package native
 import (
 	"math/bits"
 
-	"udsim/internal/circuit"
-	"udsim/internal/parsim"
-	"udsim/internal/pcset"
-	"udsim/internal/program"
+	"udsim/internal/engine"
 )
 
-func maxVars(init, sim *program.Program) int {
-	if init.NumVars > sim.NumVars {
-		return init.NumVars
+// LayoutOf derives the child layout from a compiled engine: each
+// primary input is a (possibly multi-word) field with the
+// delayed-alignment split the engine's input write uses, each primary
+// output the bit holding its settled value.
+func LayoutOf(e *engine.Core) Layout {
+	init, sim := e.Programs()
+	c := e.Circuit()
+	numVars := sim.NumVars
+	if init.NumVars > numVars {
+		numVars = init.NumVars
 	}
-	return sim.NumVars
-}
-
-// ParallelLayout derives the child layout from a compiled parallel
-// simulator: each primary input is a multi-word bit-field with the
-// delayed-alignment split writeInputs uses, each primary output the
-// top bit of its field (the settled value).
-func ParallelLayout(s *parsim.Sim, c *circuit.Circuit) Layout {
-	init, sim := s.Programs()
 	l := Layout{
-		WordBits: s.Config().WordBits,
-		NumVars:  maxVars(init, sim),
+		WordBits: sim.WordBits,
+		NumVars:  numVars,
 		Inputs:   make([]InputField, len(c.Inputs)),
 		Outputs:  make([]OutputBit, len(c.Outputs)),
 	}
+	tech := e.Technique()
 	for i := range c.Inputs {
-		base, words, split := s.InputField(i)
+		base, words, split := tech.InputField(i)
 		l.Inputs[i] = InputField{Base: base, Words: words, Split: int32(split)}
 	}
 	for i, id := range c.Outputs {
-		slot, mask := s.FinalSlot(id)
+		slot, mask := e.FinalSlot(id)
 		l.Outputs[i] = OutputBit{Slot: int32(slot), Bit: uint8(bits.TrailingZeros64(mask))}
-	}
-	return l
-}
-
-// PCSetLayout derives the child layout from a compiled PC-set
-// simulator: each primary input is one broadcast word (its single PC
-// element), each primary output bit 0 of its maximum PC element.
-func PCSetLayout(s *pcset.Sim, c *circuit.Circuit) Layout {
-	init, sim := s.Programs()
-	l := Layout{
-		WordBits: 64,
-		NumVars:  maxVars(init, sim),
-		Inputs:   make([]InputField, len(c.Inputs)),
-		Outputs:  make([]OutputBit, len(c.Outputs)),
-	}
-	for i := range c.Inputs {
-		l.Inputs[i] = InputField{Base: s.InputVar(i), Words: 1}
-	}
-	for i, id := range c.Outputs {
-		slot, _ := s.FinalSlot(id)
-		l.Outputs[i] = OutputBit{Slot: int32(slot)}
 	}
 	return l
 }

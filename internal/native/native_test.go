@@ -58,7 +58,7 @@ func testConfig(t *testing.T, name, technique string) (Config, func(vec []bool) 
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Layout = ParallelLayout(s, norm)
+		cfg.Layout = LayoutOf(s.Core)
 		cfg.Init, cfg.Sim = s.Programs()
 		ref = refFunc(norm, func(vec []bool) { s.ApplyVector(vec) }, s.Final)
 	case "pcset":
@@ -66,7 +66,7 @@ func testConfig(t *testing.T, name, technique string) (Config, func(vec []bool) 
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Layout = PCSetLayout(s, norm)
+		cfg.Layout = LayoutOf(s.Core)
 		cfg.Init, cfg.Sim = s.Programs()
 		ref = refFunc(norm, func(vec []bool) { s.ApplyVector(vec) }, s.Final)
 	default:

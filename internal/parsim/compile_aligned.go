@@ -22,7 +22,7 @@ import (
 // low-order representative-free words are refilled from the previous
 // final value in the init phase (the paper's "reintroduced
 // initialization"), and higher gaps broadcast the previous word's top bit.
-func (s *Sim) compileAligned() error {
+func (s *Sim) compileAligned() (init, sim *program.Program, err error) {
 	W := s.cfg.WordBits
 	c := s.c
 	al := s.cfg.Align
@@ -222,7 +222,7 @@ func (s *Sim) compileAligned() error {
 	for len(names) < numVars {
 		names = append(names, fmt.Sprintf("s%d", len(names)))
 	}
-	s.initProg = &program.Program{WordBits: W, NumVars: numVars, Code: initCode, VarNames: names}
-	s.simProg = &program.Program{WordBits: W, NumVars: numVars, Code: simCode, VarNames: names}
-	return nil
+	init = &program.Program{WordBits: W, NumVars: numVars, Code: initCode, VarNames: names}
+	sim = &program.Program{WordBits: W, NumVars: numVars, Code: simCode, VarNames: names}
+	return init, sim, nil
 }

@@ -28,7 +28,7 @@ import (
 // Independently, the fold (unshifted intermediate) word w is computed only
 // when a representative exists in (w·W, (w+1)·W] — the shifted-vs-
 // unshifted distinction of Fig. 9.
-func (s *Sim) compileFlat() error {
+func (s *Sim) compileFlat() (init, sim *program.Program, err error) {
 	W := s.cfg.WordBits
 	n := s.a.Depth + 1
 	nw := (n + W - 1) / W
@@ -223,7 +223,7 @@ func (s *Sim) compileFlat() error {
 					// must come from a computed fold (a representative
 					// at w·W forces fold word w−1).
 					if w == 0 || !folded[w-1] {
-						return fmt.Errorf("parsim: internal: word %d of net %s assigned without fold support", w, c.Nets[out].Name)
+						return nil, nil, fmt.Errorf("parsim: internal: word %d of net %s assigned without fold support", w, c.Nets[out].Name)
 					}
 					simCode = append(simCode, program.Instr{
 						Op: program.OpFill, Dst: dst, A: tempBase + int32(w-1), B: program.None, Sh: uint8(W - 1),
@@ -234,7 +234,7 @@ func (s *Sim) compileFlat() error {
 				// Word 0 can never be a gap: when it is not low, the
 				// minlevel representative lives in it.
 				if w == 0 {
-					return fmt.Errorf("parsim: internal: word 0 of net %s classified as gap", c.Nets[out].Name)
+					return nil, nil, fmt.Errorf("parsim: internal: word 0 of net %s classified as gap", c.Nets[out].Name)
 				}
 				simCode = append(simCode, program.Instr{
 					Op: program.OpFill, Dst: dst, A: s.fieldWord(out, w-1), B: program.None, Sh: uint8(W - 1),
@@ -243,7 +243,7 @@ func (s *Sim) compileFlat() error {
 		}
 	}
 
-	s.initProg = &program.Program{WordBits: W, NumVars: numVars, Code: initCode, VarNames: names}
-	s.simProg = &program.Program{WordBits: W, NumVars: numVars, Code: simCode, VarNames: names}
-	return nil
+	init = &program.Program{WordBits: W, NumVars: numVars, Code: initCode, VarNames: names}
+	sim = &program.Program{WordBits: W, NumVars: numVars, Code: simCode, VarNames: names}
+	return init, sim, nil
 }

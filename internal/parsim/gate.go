@@ -1,14 +1,18 @@
 package parsim
 
 import (
+	"fmt"
+
 	"udsim/internal/activity/cone"
 	"udsim/internal/circuit"
+	"udsim/internal/engine"
 	"udsim/internal/program"
 	"udsim/internal/shard"
 )
 
 // gater is the plan-time structure and per-vector bookkeeping of the
-// activity-gated execution strategy (shard.ActivityGated): Maurer's
+// activity-gated execution strategy (shard.ActivityGated), attached to
+// the engine core as its engine.Gate: Maurer's
 // Table 3 observation — most gates are idle on most vectors — turned
 // into a sound skip rule for the compiled program.
 //
@@ -38,8 +42,8 @@ import (
 //     the init + simulation instructions — and the whole state array
 //     stays bit-identical to sequential execution. Shift-eliminated
 //     layouts pack previous-vector bits at negative times and break
-//     this broadcast form, which is why ConfigureExec rejects gating
-//     for cfg.Align (and cfg.Delays) compiles.
+//     this broadcast form, which is why NewGate rejects gating for
+//     cfg.Align (and cfg.Delays) compiles.
 //
 // The first vector after compile, ResetConsistent, a checkpoint restore
 // or a state detach runs everything (valid == false); from then on the
@@ -47,6 +51,7 @@ import (
 // per group and the flatten writes — all into buffers sized once here,
 // so the steady state stays allocation-free.
 type gater struct {
+	s     *Sim
 	cones *cone.Set
 	words int // primary-input bitset words
 
@@ -89,19 +94,36 @@ type gater struct {
 	valid     bool // false forces the next vector to run everything
 	allActive bool // this vector: every group active (the common hot case)
 
-	// Cumulative gating tallies since ConfigureExec, read by
-	// GatingLevels: vectors decided, levels run, levels skipped
-	// (barrier-included). Plain int64s — decide runs on the caller's
-	// goroutine before any worker is dispatched.
+	// Cumulative gating tallies since ConfigureExec, read by Levels:
+	// vectors decided, levels run, levels skipped (barrier-included).
+	// Plain int64s — Decide runs on the caller's goroutine before any
+	// worker is dispatched.
 	decVectors, decLevelsRun, decLevelsSkipped int64
 }
 
-// invalidate forces the next vector to run (and re-materialize) every
+// Invalidate forces the next vector to run (and re-materialize) every
 // group — the reset after any operation that makes the state array's
 // relation to prevPI unknown.
-func (g *gater) invalidate() {
-	if g != nil {
-		g.valid = false
+func (g *gater) Invalidate() { g.valid = false }
+
+// NewGate implements engine.Gater: the gating structure for a configured
+// plan. Only the flat and trimmed layouts keep the broadcast form of a
+// settled field that flattening relies on.
+func (s *Sim) NewGate(plan *shard.Plan) (engine.Gate, error) {
+	if s.cfg.Align != nil {
+		return nil, fmt.Errorf("parsim: activity gating requires the flat or trimmed layout (shift elimination packs previous-vector bits that break the settled-field skip rule)")
+	}
+	if s.cfg.Delays != nil {
+		return nil, fmt.Errorf("parsim: activity gating does not support nominal gate delays")
+	}
+	return s.buildGater(plan), nil
+}
+
+// Attach hands the engine the gate arrays Decide fills.
+func (g *gater) Attach(e *shard.Engine) {
+	e.SetGate(g.runCell, g.runLevel)
+	if g.fine {
+		e.SetGateRuns(g.runs, g.runOff)
 	}
 }
 
@@ -414,10 +436,11 @@ func (s *Sim) newGater(slotNet, netGroup []int32, numGroups, levels, workers int
 	// instructions cannot starve an active one. The tags are collapsed
 	// to contiguous segments: the compiler emits a net's init
 	// instructions together, so the segment count is O(nets).
-	initNet := make([]int32, len(s.initProg.Code))
+	initProg, _ := s.Programs()
+	initNet := make([]int32, len(initProg.Code))
 	var initSegNet, initSegEnd []int32
-	for i := range s.initProg.Code {
-		in := &s.initProg.Code[i]
+	for i := range initProg.Code {
+		in := &initProg.Code[i]
 		initNet[i] = -1
 		if in.Writes() && in.Dst < s.scratchStart {
 			if n := slotNet[in.Dst]; n >= 0 && netGroup[n] >= 0 {
@@ -433,6 +456,7 @@ func (s *Sim) newGater(slotNet, netGroup []int32, numGroups, levels, workers int
 
 	numCells := levels * workers
 	return &gater{
+		s:           s,
 		initSegNet:  initSegNet,
 		initSegEnd:  initSegEnd,
 		cones:       cones,
@@ -451,11 +475,12 @@ func (s *Sim) newGater(slotNet, netGroup []int32, numGroups, levels, workers int
 	}
 }
 
-// decide computes this vector's group activity from the primary-input
-// diff and fills the engine gate arrays. prev is the previous vector's
-// inputs (read before the caller overwrites them). Returns the number
+// Decide computes this vector's group activity from the primary-input
+// diff against the previous vector's inputs (read before WriteInputs
+// overwrites them) and fills the engine gate arrays. Returns the number
 // of non-empty cells skipped, for the observer.
-func (g *gater) decide(inputs, prev []bool) (skipped int64) {
+func (g *gater) Decide(inputs []bool) (skipped int64) {
+	prev := g.s.prevPI
 	if !g.valid {
 		// First vector after an invalidation: the state array's relation
 		// to prev is unknown, so everything runs (and every field is
@@ -562,28 +587,22 @@ func (g *gater) decide(inputs, prev []bool) (skipped int64) {
 	return skipped
 }
 
-// GatingLevels reports the activity-gated strategy's cumulative level
-// tally since ConfigureExec: vectors decided, levels executed, and
-// levels skipped barrier-included. A skipped level is a deleted barrier
-// crossing per worker (each gated vector additionally crosses one
-// closing barrier when workers > 1). All zeros when the configured
-// strategy is not ActivityGated.
-func (s *Sim) GatingLevels() (vectors, run, skipped int64) {
-	if s.gate == nil {
-		return 0, 0, 0
-	}
-	return s.gate.decVectors, s.gate.decLevelsRun, s.gate.decLevelsSkipped
+// Levels reports the cumulative level tally since ConfigureExec (see
+// engine.Core.GatingLevels).
+func (g *gater) Levels() (vectors, run, skipped int64) {
+	return g.decVectors, g.decLevelsRun, g.decLevelsSkipped
 }
 
-// runGatedInit executes the init program minus the instructions that
+// RunInit executes the init program minus the instructions that
 // initialize skipped nets, as coalesced sub-slices of the original
 // stream — no instruction copying, and when every group is active a
 // single Exec of the whole program.
-func (s *Sim) runGatedInit() {
-	g := s.gate
-	code := s.initProg.Code
+func (g *gater) RunInit() {
+	s := g.s
+	initProg, _ := s.Programs()
+	code, st := initProg.Code, s.State()
 	if g.allActive {
-		program.Exec(code, s.st, s.cfg.WordBits)
+		program.Exec(code, st, s.cfg.WordBits)
 		return
 	}
 	open, prevEnd := int32(-1), int32(0)
@@ -600,24 +619,23 @@ func (s *Sim) runGatedInit() {
 				open = prevEnd
 			}
 		} else if open >= 0 {
-			program.Exec(code[open:prevEnd], s.st, s.cfg.WordBits)
+			program.Exec(code[open:prevEnd], st, s.cfg.WordBits)
 			open = -1
 		}
 		prevEnd = end
 	}
 	if open >= 0 {
-		program.Exec(code[open:prevEnd], s.st, s.cfg.WordBits)
+		program.Exec(code[open:prevEnd], st, s.cfg.WordBits)
 	}
 }
 
-// flattenInactive rewrites every skipped net's field to the broadcast
-// of its settled value — exactly the words sequential execution would
-// produce for a net whose cone inputs did not change. Fields that were
-// already flattened by an earlier vector are left alone, so a net that
-// stays idle costs nothing after its first skipped vector. Must run
-// before the engine: active cells may read skipped nets' fields.
-func (s *Sim) flattenInactive() {
-	g := s.gate
+// Flatten rewrites every skipped net's field to the broadcast of its
+// settled value — exactly the words sequential execution would produce
+// for a net whose cone inputs did not change. Fields that were already
+// flattened by an earlier vector are left alone, so a net that stays
+// idle costs nothing after its first skipped vector. Must run before
+// the engine: active cells may read skipped nets' fields.
+func (g *gater) Flatten() {
 	if g.allActive {
 		// Everything runs and rewrites its field, so no flag survives;
 		// the range clear compiles to a memclr.
@@ -626,7 +644,8 @@ func (s *Sim) flattenInactive() {
 		}
 		return
 	}
-	mask := s.simProg.Mask()
+	s := g.s
+	st, mask := s.State(), s.simProg().Mask()
 	for n := range g.netGroup {
 		grp := g.netGroup[n]
 		if grp < 0 {
@@ -644,7 +663,7 @@ func (s *Sim) flattenInactive() {
 			v = mask
 		}
 		for w := int32(0); w < s.words[n]; w++ {
-			s.st[s.base[n]+w] = v
+			st[s.base[n]+w] = v
 		}
 		g.netFlat[n] = true
 	}

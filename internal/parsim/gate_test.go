@@ -8,6 +8,7 @@ import (
 	"udsim/internal/align"
 	"udsim/internal/circuit"
 	"udsim/internal/ckttest"
+	"udsim/internal/engine"
 	"udsim/internal/shard"
 	"udsim/internal/vectors"
 )
@@ -136,7 +137,7 @@ func TestGatedSkipsAndStaysCorrect(t *testing.T) {
 	}
 	// After the first (run-everything) vector the repeats change no
 	// primary input, so every gated group must be idle.
-	g := s.gate
+	g := s.Gate().(*gater)
 	for gi := range g.groupActive {
 		if g.groupActive[gi] {
 			t.Fatalf("group %d active on a repeated vector", gi)
@@ -168,7 +169,7 @@ func TestGatedInvalidation(t *testing.T) {
 	if err := s.ResetConsistent(nil); err != nil {
 		t.Fatal(err)
 	}
-	var ck Checkpoint
+	var ck engine.Checkpoint
 	if err := s.ApplyVector(vecs[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestGatedInvalidation(t *testing.T) {
 	if err := s.Restore(&ck); err != nil {
 		t.Fatal(err)
 	}
-	if s.gate.valid {
+	if s.Gate().(*gater).valid {
 		t.Fatal("Restore left the gating state valid")
 	}
 	// Replay from the checkpoint: results must match a fresh sequential

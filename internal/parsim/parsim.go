@@ -17,18 +17,14 @@
 package parsim
 
 import (
-	"context"
 	"fmt"
-	"time"
 
 	"udsim/internal/align"
 	"udsim/internal/circuit"
+	"udsim/internal/engine"
 	"udsim/internal/levelize"
 	"udsim/internal/obs"
 	"udsim/internal/program"
-	"udsim/internal/refsim"
-	"udsim/internal/resilience"
-	"udsim/internal/shard"
 	"udsim/internal/verify"
 )
 
@@ -54,16 +50,15 @@ type Config struct {
 	Verify bool
 }
 
-// Sim is a compiled parallel-technique simulator.
+// Sim is a compiled parallel-technique simulator: the parallel layout
+// and compiler over the shared engine runtime, whose execution, guard,
+// observer and optimization surface it promotes.
 type Sim struct {
+	*engine.Core
+
 	c   *circuit.Circuit
 	a   *levelize.Analysis
 	cfg Config
-
-	initProg *program.Program
-	simProg  *program.Program
-
-	st []uint64
 
 	base    []int32 // per net: state index of field word 0
 	words   []int32 // per net: words in the field
@@ -72,35 +67,10 @@ type Sim struct {
 
 	scratchStart int32 // first non-field (temporary/scratch) state slot
 
+	// Views into the Core's auxiliary state, so checkpoints and clones
+	// carry them with the arena.
 	prevFinal []bool // final values before the last vector (for t < alignment reads)
 	prevPI    []bool // previous primary-input values (for negative-alignment PI bits)
-	piBuf     []uint64
-
-	// Multicore execution (ConfigureExec): a sharded engine, or a worker
-	// pool plus clones for vector batching; nil/Sequential by default.
-	exec         *shard.Engine
-	pool         *shard.Pool
-	clones       []*Sim
-	execStrategy shard.Strategy
-
-	// Activity gating (gate.go): non-nil exactly when execStrategy is
-	// shard.ActivityGated. fuseLevels makes ConfigureExec build plans
-	// with the barrier-deleting level-fusion pass (SetLevelFusion).
-	gate       *gater
-	fuseLevels bool
-
-	// Runtime observability (SetObserver); nil = disabled, and every
-	// hot-path hook is behind a nil check. Clones share the pointer, so
-	// vector-batch blocks feed one set of counters.
-	obs *obs.Observer
-
-	ref *refsim.Evaluator // lazily built zero-delay oracle for ResetConsistent
-
-	// Guarded execution (guard.go): fault injector and watchdog budgets
-	// forwarded to the sharded engine, consulted only on the ctx paths.
-	inj         resilience.Injector
-	levelBudget time.Duration
-	guardGrace  time.Duration
 }
 
 // Compile builds the parallel-technique program for a combinational
@@ -146,39 +116,64 @@ func Compile(c *circuit.Circuit, cfg Config) (*Sim, error) {
 		}
 	}
 	s := &Sim{
-		c:         norm,
-		a:         a,
-		cfg:       cfg,
-		alignOf:   make([]int, norm.NumNets()),
-		width:     make([]int, norm.NumNets()),
-		base:      make([]int32, norm.NumNets()),
-		words:     make([]int32, norm.NumNets()),
-		prevFinal: make([]bool, norm.NumNets()),
-		prevPI:    make([]bool, len(norm.Inputs)),
+		c:       norm,
+		a:       a,
+		cfg:     cfg,
+		alignOf: make([]int, norm.NumNets()),
+		width:   make([]int, norm.NumNets()),
+		base:    make([]int32, norm.NumNets()),
+		words:   make([]int32, norm.NumNets()),
 	}
-	var err error
+	var (
+		initProg, simProg *program.Program
+		err               error
+	)
 	if cfg.Align == nil {
-		err = s.compileFlat()
+		initProg, simProg, err = s.compileFlat()
 	} else {
-		err = s.compileAligned()
+		initProg, simProg, err = s.compileAligned()
 	}
 	if err != nil {
 		return nil, err
 	}
-	if err := s.initProg.Validate(); err != nil {
+	if err := initProg.Validate(); err != nil {
 		return nil, fmt.Errorf("parsim: init program invalid: %w", err)
 	}
-	if err := s.simProg.Validate(); err != nil {
+	if err := simProg.Validate(); err != nil {
 		return nil, fmt.Errorf("parsim: sim program invalid: %w", err)
 	}
+	s.Core = engine.New(engine.Config{
+		Name:         "parallel",
+		Circuit:      norm,
+		Analysis:     a,
+		Init:         initProg,
+		Sim:          simProg,
+		ScratchStart: s.scratchStart,
+		Aux:          norm.NumNets() + len(norm.Inputs),
+	}, s)
+	s.bindAux()
 	if cfg.Verify {
 		if err := verify.Check(s.Spec(), verify.Options{}).Err(); err != nil {
 			return nil, fmt.Errorf("parsim: %w", err)
 		}
 	}
-	s.st = make([]uint64, s.simProg.NumVars)
-	s.piBuf = make([]uint64, 0, 8)
 	return s, nil
+}
+
+// bindAux slices the previous-vector views out of the Core's auxiliary
+// state.
+func (s *Sim) bindAux() {
+	aux, n := s.Aux(), s.c.NumNets()
+	s.prevFinal, s.prevPI = aux[:n:n], aux[n:]
+}
+
+// Rebind implements engine.Technique: the clone shares the layout and
+// re-derives its previous-vector views from the clone's state.
+func (s *Sim) Rebind(c *engine.Core) engine.Technique {
+	cl := *s
+	cl.Core = c
+	cl.bindAux()
+	return &cl
 }
 
 // Analyze normalizes a circuit and returns its levelization analysis —
@@ -196,27 +191,8 @@ func Analyze(c *circuit.Circuit) (*circuit.Circuit, *levelize.Analysis, error) {
 	return norm, a, nil
 }
 
-// Circuit returns the (normalized) circuit being simulated.
-func (s *Sim) Circuit() *circuit.Circuit { return s.c }
-
-// Analysis returns the levelization analysis used by the compiler.
-func (s *Sim) Analysis() *levelize.Analysis { return s.a }
-
 // Config returns the compile configuration (with defaults resolved).
 func (s *Sim) Config() Config { return s.cfg }
-
-// Programs returns the per-vector initialization and simulation programs.
-func (s *Sim) Programs() (init, sim *program.Program) { return s.initProg, s.simProg }
-
-// Depth returns the circuit depth in gate delays.
-func (s *Sim) Depth() int { return s.a.Depth }
-
-// CodeSize returns the total number of generated instructions.
-func (s *Sim) CodeSize() int { return len(s.initProg.Code) + len(s.simProg.Code) }
-
-// ShiftCount returns the number of shift instructions in the simulation
-// program — the executable counterpart of Fig. 21's retained shifts.
-func (s *Sim) ShiftCount() int { return s.simProg.ShiftCount() }
 
 // WordsPerField returns the maximum number of words any net's bit-field
 // occupies (the parenthesized counts of Fig. 20).
@@ -233,116 +209,47 @@ func (s *Sim) WordsPerField() int {
 // fieldWord returns the state index of word w of a net's field.
 func (s *Sim) fieldWord(n circuit.NetID, w int) int32 { return s.base[n] + int32(w) }
 
-// ResetConsistent initializes every bit of every field to the zero-delay
-// settled state for the given input assignment (nil = all zeros).
-func (s *Sim) ResetConsistent(inputs []bool) error {
-	if inputs == nil {
-		inputs = make([]bool, len(s.c.Inputs))
-	}
-	if s.ref == nil {
-		var err error
-		if s.ref, err = refsim.NewEvaluator(s.c); err != nil {
-			return err
-		}
-	}
-	settled, err := s.ref.Evaluate(inputs)
-	if err != nil {
-		return err
-	}
-	mask := s.simProg.Mask()
+// ResetSettled implements engine.Technique: every bit of every field
+// takes the net's settled value, which is also its previous final.
+func (s *Sim) ResetSettled(settled []bool) {
+	st := s.State()
+	mask := s.simProg().Mask()
 	for i := range s.c.Nets {
 		var w uint64
 		if settled[i] {
 			w = mask
 		}
 		for j := int32(0); j < s.words[i]; j++ {
-			s.st[s.base[i]+j] = w
+			st[s.base[i]+j] = w
 		}
 		s.prevFinal[i] = settled[i]
 	}
 	for i, id := range s.c.Inputs {
 		s.prevPI[i] = settled[id]
 	}
-	s.gate.invalidate()
-	return nil
 }
 
-// ApplyVector simulates one input vector, computing the complete
-// unit-delay history of every net in its bit-field.
-func (s *Sim) ApplyVector(inputs []bool) error { return s.apply(nil, inputs) }
-
-// apply is the shared ApplyVector body; a nil ctx selects the unguarded
-// hot path (runSim), a non-nil ctx the guarded one (runSimCtx, see
-// guard.go).
-func (s *Sim) apply(ctx context.Context, inputs []bool) error {
-	if len(inputs) != len(s.c.Inputs) {
-		return fmt.Errorf("parsim: %d input values for %d primary inputs", len(inputs), len(s.c.Inputs))
-	}
-	// Capture the previous finals before anything is overwritten.
-	for i := range s.c.Nets {
-		s.prevFinal[i] = s.finalBit(circuit.NetID(i))
-	}
-	if s.gate != nil {
-		return s.applyGated(ctx, inputs)
-	}
-	if o := s.obs; o != nil {
-		o.AddVectors(1)
-		t0 := time.Now()
-		s.initProg.Run(s.st)
-		o.AddInit(time.Since(t0))
-	} else {
-		s.initProg.Run(s.st)
-	}
-	s.writeInputs(inputs)
-	if ctx == nil {
-		s.runSim()
-	} else if err := s.runSimCtx(ctx); err != nil {
-		return err
-	}
-	if s.obs.ActivityEnabled() {
-		s.observeActivity()
-	}
-	return nil
+// simProg returns the current simulation program.
+func (s *Sim) simProg() *program.Program {
+	_, sim := s.Programs()
+	return sim
 }
 
-// applyGated is the activity-gated apply tail: decide which gate groups
-// this vector can touch (reading prevPI before writeInputs overwrites
-// it), run the init program minus the skipped nets, flatten the skipped
-// fields to their settled broadcasts and hand the engine its gates.
-func (s *Sim) applyGated(ctx context.Context, inputs []bool) error {
-	g := s.gate
-	o := s.obs
-	if o != nil {
-		o.AddVectors(1)
-		t0 := time.Now()
-		skipped := g.decide(inputs, s.prevPI)
-		o.AddGatingNanos(time.Since(t0))
-		o.AddShardsSkipped(skipped)
-		t1 := time.Now()
-		s.runGatedInit()
-		o.AddInit(time.Since(t1))
-	} else {
-		g.decide(inputs, s.prevPI)
-		s.runGatedInit()
+// BeginVector implements engine.Technique: capture the previous finals
+// before the init program overwrites the fields.
+func (s *Sim) BeginVector() {
+	for i := range s.prevFinal {
+		s.prevFinal[i] = s.Final(circuit.NetID(i))
 	}
-	s.writeInputs(inputs)
-	s.flattenInactive()
-	if ctx == nil {
-		s.runSim()
-	} else if err := s.runSimCtx(ctx); err != nil {
-		return err
-	}
-	if s.obs.ActivityEnabled() {
-		s.observeActivity()
-	}
-	return nil
 }
 
-// writeInputs broadcasts the vector into the primary-input fields. With
-// shift elimination a field's bits below -align belong to simulated
-// times before 0 and carry the previous vector's value.
-func (s *Sim) writeInputs(inputs []bool) {
-	mask := s.simProg.Mask()
+// WriteInputs implements engine.Technique: it broadcasts the vector
+// into the primary-input fields. With shift elimination a field's bits
+// below -align belong to simulated times before 0 and carry the previous
+// vector's value.
+func (s *Sim) WriteInputs(inputs []bool) {
+	st := s.State()
+	mask := s.simProg().Mask()
 	W := s.cfg.WordBits
 	for i, id := range s.c.Inputs {
 		var newW uint64
@@ -352,7 +259,7 @@ func (s *Sim) writeInputs(inputs []bool) {
 		split := -s.alignOf[id] // bits below split hold the previous value
 		if split <= 0 {
 			for w := int32(0); w < s.words[id]; w++ {
-				s.st[s.base[id]+w] = newW
+				st[s.base[id]+w] = newW
 			}
 		} else {
 			var prevW uint64
@@ -363,12 +270,12 @@ func (s *Sim) writeInputs(inputs []bool) {
 				lo := int(w) * W
 				switch {
 				case lo+W <= split:
-					s.st[s.base[id]+w] = prevW
+					st[s.base[id]+w] = prevW
 				case lo >= split:
-					s.st[s.base[id]+w] = newW
+					st[s.base[id]+w] = newW
 				default:
 					pm := (uint64(1) << uint(split-lo)) - 1
-					s.st[s.base[id]+w] = (prevW & pm) | (newW &^ pm)
+					st[s.base[id]+w] = (prevW & pm) | (newW &^ pm)
 				}
 			}
 		}
@@ -376,11 +283,11 @@ func (s *Sim) writeInputs(inputs []bool) {
 	}
 }
 
-// observeActivity scans every net's waveform of the last vector into
-// the observer's activity profile: one transition per (net, time) value
-// change, per-net toggle totals. Allocation-free; O(nets × depth).
-func (s *Sim) observeActivity() {
-	o := s.obs
+// ObserveActivity implements engine.Technique: it scans every net's
+// waveform of the last vector into the observer's activity profile: one
+// transition per (net, time) value change, per-net toggle totals.
+// Allocation-free; O(nets × depth).
+func (s *Sim) ObserveActivity(o *obs.Observer) {
 	d := s.a.Depth
 	for n := range s.c.Nets {
 		id := circuit.NetID(n)
@@ -401,11 +308,19 @@ func (s *Sim) observeActivity() {
 	o.AddActivityVector()
 }
 
-// finalBit reads the current final value of a net (bit level−alignment).
-func (s *Sim) finalBit(n circuit.NetID) bool {
+// FinalSlot implements engine.Technique: net n's final value is bit
+// level−alignment of its field.
+func (s *Sim) FinalSlot(n circuit.NetID) (slot int, mask uint64) {
 	idx := s.width[n] - 1
 	w, b := idx/s.cfg.WordBits, idx%s.cfg.WordBits
-	return s.st[s.base[n]+int32(w)]>>uint(b)&1 == 1
+	return int(s.base[n] + int32(w)), uint64(1) << uint(b)
+}
+
+// InputField implements engine.Technique: primary input i's field and
+// the delayed-alignment split WriteInputs uses.
+func (s *Sim) InputField(i int) (base, words int32, split int) {
+	id := s.c.Inputs[i]
+	return s.base[id], s.words[id], -s.alignOf[id]
 }
 
 // ValueAt returns the value of a net at time t (0..Depth) for the last
@@ -421,11 +336,20 @@ func (s *Sim) ValueAt(n circuit.NetID, t int) bool {
 		idx = s.width[n] - 1
 	}
 	w, b := idx/s.cfg.WordBits, idx%s.cfg.WordBits
-	return s.st[s.base[n]+int32(w)]>>uint(b)&1 == 1
+	return s.State()[s.base[n]+int32(w)]>>uint(b)&1 == 1
 }
 
-// Final returns the final value of a net (its value at time Depth).
-func (s *Sim) Final(n circuit.NetID) bool { return s.finalBit(n) }
+// Trace implements engine.Technique and the facade's Tracer contract:
+// the value of net n at time t and whether that value is observable.
+// The parallel technique retains every net's complete waveform, so every
+// time 0..Depth (and beyond, clamped to the final value) is observable;
+// negative times are not — they belong to the previous vector.
+func (s *Sim) Trace(n circuit.NetID, t int) (bool, bool) {
+	if t < 0 {
+		return false, false
+	}
+	return s.ValueAt(n, t), true
+}
 
 // History returns the full waveform of one net over times 0..Depth.
 func (s *Sim) History(n circuit.NetID) []bool {

@@ -4,13 +4,15 @@ import (
 	"udsim/internal/verify"
 )
 
-// Spec builds the static-verification spec for the compiled programs: the
-// packed bit-field layout, the scratch boundary, the slots the runtime
-// writes between the init and sim phases (primary-input fields), the
-// slots that must be correct after sim (primary-output fields plus every
-// net's top word, which ApplyVector reads as the previous final value),
-// and — for unit-delay compiles — the static phase of every field word.
-func (s *Sim) Spec() *verify.Spec {
+// LayoutSpec implements engine.Technique: the static-verification spec
+// for the compiled programs — the packed bit-field layout, the scratch
+// boundary, the slots the runtime writes between the init and sim phases
+// (primary-input fields), the slots that must be correct after sim
+// (primary-output fields plus every net's top word, which ApplyVector
+// reads as the previous final value), and — for unit-delay compiles —
+// the static phase of every field word.
+func (s *Sim) LayoutSpec() *verify.Spec {
+	initProg, simProg := s.Programs()
 	W := s.cfg.WordBits
 	c := s.c
 	name := "parallel"
@@ -25,8 +27,8 @@ func (s *Sim) Spec() *verify.Spec {
 	}
 	spec := &verify.Spec{
 		Name:         name,
-		Init:         s.initProg,
-		Sim:          s.simProg,
+		Init:         initProg,
+		Sim:          simProg,
 		ScratchStart: s.scratchStart,
 	}
 	for i := range c.Nets {
@@ -62,7 +64,7 @@ func (s *Sim) Spec() *verify.Spec {
 	// time align + w*W + i); nominal-delay compiles shift by d bits per
 	// gate, which the phase rule's one-delay model does not cover.
 	if s.cfg.Delays == nil {
-		phase := make([]int, s.simProg.NumVars)
+		phase := make([]int, simProg.NumVars)
 		for i := range phase {
 			phase[i] = verify.NoPhase
 		}
@@ -72,11 +74,6 @@ func (s *Sim) Spec() *verify.Spec {
 			}
 		}
 		spec.Phase = phase
-	}
-	// When a sharded engine is configured, export its static plan so rule
-	// V008 checks the partition against the sequential dataflow.
-	if s.exec != nil {
-		spec.Shards = s.exec.Plan().Assignment()
 	}
 	return spec
 }

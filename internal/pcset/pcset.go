@@ -15,50 +15,30 @@
 package pcset
 
 import (
-	"context"
 	"fmt"
-	"time"
 
 	"udsim/internal/circuit"
+	"udsim/internal/engine"
 	"udsim/internal/levelize"
 	"udsim/internal/obs"
 	"udsim/internal/program"
-	"udsim/internal/refsim"
-	"udsim/internal/resilience"
-	"udsim/internal/shard"
 	"udsim/internal/verify"
 )
 
-// Sim is a compiled PC-set unit-delay simulator.
+// Sim is a compiled PC-set unit-delay simulator: the PC-set layout and
+// compiler over the shared engine runtime, whose execution, guard,
+// observer and optimization surface it promotes. The method keeps all
+// mutable per-vector state in the variable array (zero-insertion
+// preserves previous-vector values in place), so it needs no auxiliary
+// state: a checkpoint is just the arena.
 type Sim struct {
+	*engine.Core
+
 	c *circuit.Circuit
 	a *levelize.Analysis
 
-	initProg *program.Program // per-vector initialization (zero moves)
-	simProg  *program.Program // gate simulations in levelized order
-
-	st      []uint64
 	vars    [][]int32       // per net: state index per PC element, parallel to a.NetPC
 	monitor []circuit.NetID // resolved monitor set (PRINT-gate inputs)
-
-	// Multicore execution (ConfigureExec): a sharded engine, or a worker
-	// pool plus clones for vector batching; nil/Sequential by default.
-	exec         *shard.Engine
-	pool         *shard.Pool
-	clones       []*Sim
-	execStrategy shard.Strategy
-
-	// Runtime observability (SetObserver); nil = disabled, and every
-	// hot-path hook is behind a nil check. Clones share the pointer.
-	obs *obs.Observer
-
-	ref *refsim.Evaluator // lazily built zero-delay oracle for ResetConsistent
-
-	// Guarded execution (guard.go): fault injector and watchdog budgets
-	// forwarded to the sharded engine, consulted only on the ctx paths.
-	inj         resilience.Injector
-	levelBudget time.Duration
-	guardGrace  time.Duration
 }
 
 // Compile builds the PC-set program for a combinational circuit. The
@@ -151,21 +131,23 @@ func CompileWithDelays(c *circuit.Circuit, monitor []circuit.NetID, gateDelay []
 	mk := func(code []program.Instr) *program.Program {
 		return &program.Program{WordBits: 64, NumVars: int(next), Code: code, VarNames: names}
 	}
-	s := &Sim{
-		c:        c,
-		a:        a,
-		initProg: mk(initCode),
-		simProg:  mk(simCode),
-		st:       make([]uint64, next),
-		vars:     vars,
-		monitor:  monitor,
-	}
-	if err := s.initProg.Validate(); err != nil {
+	initProg, simProg := mk(initCode), mk(simCode)
+	if err := initProg.Validate(); err != nil {
 		return nil, err
 	}
-	if err := s.simProg.Validate(); err != nil {
+	if err := simProg.Validate(); err != nil {
 		return nil, err
 	}
+	s := &Sim{c: c, a: a, vars: vars, monitor: monitor}
+	s.Core = engine.New(engine.Config{
+		Name:     "pcset",
+		Circuit:  c,
+		Analysis: a,
+		Init:     initProg,
+		Sim:      simProg,
+		// The PC-set method has no scratch region: every slot is persistent.
+		ScratchStart: next,
+	}, s)
 	return s, nil
 }
 
@@ -182,19 +164,20 @@ func CompileChecked(c *circuit.Circuit, monitor []circuit.NetID) (*Sim, error) {
 	return s, nil
 }
 
-// Spec builds the static-verification spec for the compiled programs.
-// Every variable is persistent state (the PC-set method has no scratch
-// region and no packed bit-fields, so the layout and phase rules are
-// vacuous); the runtime writes each primary input's time-zero variable,
-// and the observable slots are every variable of every monitored net plus
-// the final-value variable of every net, which Final and the next
-// vector's zero-insertion read.
-func (s *Sim) Spec() *verify.Spec {
+// LayoutSpec implements engine.Technique: the static-verification spec
+// for the compiled programs. Every variable is persistent state (the
+// PC-set method has no scratch region and no packed bit-fields, so the
+// layout and phase rules are vacuous); the runtime writes each primary
+// input's time-zero variable, and the observable slots are every
+// variable of every monitored net plus the final-value variable of every
+// net, which Final and the next vector's zero-insertion read.
+func (s *Sim) LayoutSpec() *verify.Spec {
+	initProg, simProg := s.Programs()
 	spec := &verify.Spec{
 		Name:         "pcset",
-		Init:         s.initProg,
-		Sim:          s.simProg,
-		ScratchStart: int32(len(s.st)),
+		Init:         initProg,
+		Sim:          simProg,
+		ScratchStart: int32(simProg.NumVars),
 	}
 	for _, id := range s.c.Inputs {
 		spec.RuntimeWritten = append(spec.RuntimeWritten, s.vars[id][0])
@@ -206,11 +189,6 @@ func (s *Sim) Spec() *verify.Spec {
 		if vs := s.vars[i]; len(vs) > 0 {
 			spec.LiveOut = append(spec.LiveOut, vs[len(vs)-1])
 		}
-	}
-	// When a sharded engine is configured, export its static plan so rule
-	// V008 checks the partition against the sequential dataflow.
-	if s.exec != nil {
-		spec.Shards = s.exec.Plan().Assignment()
 	}
 	return spec
 }
@@ -234,114 +212,77 @@ func varAt(a *levelize.Analysis, vars [][]int32, net circuit.NetID, t int) int32
 	return vars[net][lo]
 }
 
-// Circuit returns the (normalized) circuit being simulated.
-func (s *Sim) Circuit() *circuit.Circuit { return s.c }
+// Rebind implements engine.Technique: the clone shares the layout (the
+// PC-set method has no auxiliary state to re-slice).
+func (s *Sim) Rebind(c *engine.Core) engine.Technique {
+	cl := *s
+	cl.Core = c
+	return &cl
+}
 
-// Analysis returns the levelization/PC-set analysis (after zero-insertion).
-func (s *Sim) Analysis() *levelize.Analysis { return s.a }
-
-// Programs returns the per-vector initialization and simulation programs.
-func (s *Sim) Programs() (init, sim *program.Program) { return s.initProg, s.simProg }
-
-// NumVars returns the number of generated variables (the paper's measure
-// of the PC-set method's space cost).
-func (s *Sim) NumVars() int { return len(s.st) }
-
-// CodeSize returns the total number of generated instructions.
-func (s *Sim) CodeSize() int { return len(s.initProg.Code) + len(s.simProg.Code) }
-
-// Depth returns the circuit depth in gate delays.
-func (s *Sim) Depth() int { return s.a.Depth }
-
-// ResetConsistent initializes every variable of every net to the settled
-// zero-delay state for the given input assignment (nil = all zeros), in
-// all lanes.
-func (s *Sim) ResetConsistent(inputs []bool) error {
-	if inputs == nil {
-		inputs = make([]bool, len(s.c.Inputs))
-	}
-	if s.ref == nil {
-		var err error
-		if s.ref, err = refsim.NewEvaluator(s.c); err != nil {
-			return err
-		}
-	}
-	settled, err := s.ref.Evaluate(inputs)
-	if err != nil {
-		return err
-	}
+// ResetSettled implements engine.Technique: every variable of every net
+// takes the net's settled value, in all lanes.
+func (s *Sim) ResetSettled(settled []bool) {
+	st := s.State()
 	for i := range s.c.Nets {
 		var w uint64
 		if settled[i] {
 			w = ^uint64(0)
 		}
 		for _, v := range s.vars[i] {
-			s.st[v] = w
+			st[v] = w
 		}
 	}
-	return nil
 }
 
-// ApplyVector simulates one input vector, producing the complete history
-// in the net variables. All 64 lanes carry the same vector.
-func (s *Sim) ApplyVector(inputs []bool) error { return s.apply(nil, inputs) }
+// BeginVector implements engine.Technique; the PC-set method keeps its
+// previous-vector state in place, so there is nothing to capture.
+func (s *Sim) BeginVector() {}
 
-// apply is the shared ApplyVector body; a nil ctx selects the unguarded
-// hot path (runSim), a non-nil ctx the guarded one (runSimCtx, see
-// guard.go).
-func (s *Sim) apply(ctx context.Context, inputs []bool) error {
-	if len(inputs) != len(s.c.Inputs) {
-		return fmt.Errorf("pcset: %d input values for %d primary inputs", len(inputs), len(s.c.Inputs))
-	}
-	s.runInit(1)
+// WriteInputs implements engine.Technique: each primary input's
+// time-zero variable takes the vector's value in all 64 lanes.
+func (s *Sim) WriteInputs(inputs []bool) {
+	st := s.State()
 	for i, id := range s.c.Inputs {
 		var w uint64
 		if inputs[i] {
 			w = ^uint64(0)
 		}
-		s.st[s.vars[id][0]] = w
+		st[s.vars[id][0]] = w
 	}
-	if ctx == nil {
-		s.runSim()
-	} else if err := s.runSimCtx(ctx); err != nil {
-		return err
-	}
-	if s.obs.ActivityEnabled() {
-		s.observeActivity()
-	}
-	return nil
 }
 
-// runInit executes the initialization program, booking it (and the
-// vector count) with the observer when one is attached.
-func (s *Sim) runInit(vectors int64) {
-	if o := s.obs; o != nil {
-		o.AddVectors(vectors)
-		t0 := time.Now()
-		s.initProg.Run(s.st)
-		o.AddInit(time.Since(t0))
-		return
-	}
-	s.initProg.Run(s.st)
+// FinalSlot implements engine.Technique: net id's final value is lane 0
+// of the variable of its maximum PC element.
+func (s *Sim) FinalSlot(id circuit.NetID) (slot int, mask uint64) {
+	vs := s.vars[id]
+	return int(vs[len(vs)-1]), 1
 }
 
-// observeActivity scans lane 0 of every net's history into the
-// observer's activity profile. A net's value only changes at its PC
-// elements, so the scan compares consecutive PC variables instead of
-// stepping time — O(total PC-set size) per vector, allocation-free.
+// InputField implements engine.Technique: primary input i is broadcast
+// into the single variable of its one PC element.
+func (s *Sim) InputField(i int) (base, words int32, split int) {
+	return s.vars[s.c.Inputs[i]][0], 1, 0
+}
+
+// ObserveActivity implements engine.Technique: it scans lane 0 of every
+// net's history into the observer's activity profile. A net's value
+// only changes at its PC elements, so the scan compares consecutive PC
+// variables instead of stepping time — O(total PC-set size) per vector,
+// allocation-free.
 // Unmonitored nets (no zero inserted) have no observable time-zero
 // value, so a change from the previous vector's final into the first PC
 // element is not counted — activity is profiled under the engine's own
 // observability, exactly like ValueAt. Monitor every net to make the
 // profile complete.
-func (s *Sim) observeActivity() {
-	o := s.obs
+func (s *Sim) ObserveActivity(o *obs.Observer) {
+	st := s.State()
 	for n := range s.c.Nets {
 		pc := s.a.NetPC[n]
 		vs := s.vars[n]
 		var toggles int64
 		for j := 1; j < len(vs); j++ {
-			if (s.st[vs[j]]^s.st[vs[j-1]])&1 != 0 {
+			if (st[vs[j]]^st[vs[j-1]])&1 != 0 {
 				o.AddTransition(pc[j])
 				toggles++
 			}
@@ -362,13 +303,14 @@ func (s *Sim) ApplyLanes(packed []uint64) error {
 	if len(packed) != len(s.c.Inputs) {
 		return fmt.Errorf("pcset: %d packed inputs for %d primary inputs", len(packed), len(s.c.Inputs))
 	}
-	s.runInit(64)
+	s.RunInit(64)
+	st := s.State()
 	for i, id := range s.c.Inputs {
-		s.st[s.vars[id][0]] = packed[i]
+		st[s.vars[id][0]] = packed[i]
 	}
-	s.runSim()
-	if s.obs.ActivityEnabled() {
-		s.observeActivity() // lane 0 only; the other 63 lanes are not scanned
+	s.RunSim()
+	if o := s.Observer(); o.ActivityEnabled() {
+		s.ObserveActivity(o) // lane 0 only; the other 63 lanes are not scanned
 	}
 	return nil
 }
@@ -377,17 +319,10 @@ func (s *Sim) ApplyLanes(packed []uint64) error {
 // last applied vector. The second result is false when the value is not
 // observable, i.e. t precedes the net's first PC element and the net had
 // no zero inserted (it was not monitored).
-func (s *Sim) ValueAt(id circuit.NetID, t int) (bool, bool) {
-	v, ok := s.laneValueAt(id, t, 0)
-	return v, ok
-}
+func (s *Sim) ValueAt(id circuit.NetID, t int) (bool, bool) { return s.LaneValueAt(id, t, 0) }
 
 // LaneValueAt is ValueAt for a specific lane.
 func (s *Sim) LaneValueAt(id circuit.NetID, t, lane int) (bool, bool) {
-	return s.laneValueAt(id, t, lane)
-}
-
-func (s *Sim) laneValueAt(id circuit.NetID, t, lane int) (bool, bool) {
 	pc := s.a.NetPC[id]
 	// Largest element ≤ t.
 	lo, hi := 0, len(pc)
@@ -402,11 +337,18 @@ func (s *Sim) laneValueAt(id circuit.NetID, t, lane int) (bool, bool) {
 	if lo == 0 {
 		return false, false
 	}
-	return s.st[s.vars[id][lo-1]]>>uint(lane)&1 == 1, true
+	return s.State()[s.vars[id][lo-1]]>>uint(lane)&1 == 1, true
 }
 
-// Final returns the lane-0 final value of a net (its value at time Depth).
-func (s *Sim) Final(id circuit.NetID) bool {
-	vs := s.vars[id]
-	return s.st[vs[len(vs)-1]]&1 == 1
+// Trace implements engine.Technique and the facade's Tracer contract:
+// the value of net n at time t and whether that value is observable.
+// Negative times belong to the previous vector and are never observable;
+// otherwise observability follows the PC-set monitoring rule (ValueAt):
+// false when t precedes the net's first PC element and the net had no
+// zero inserted.
+func (s *Sim) Trace(n circuit.NetID, t int) (bool, bool) {
+	if t < 0 {
+		return false, false
+	}
+	return s.ValueAt(n, t)
 }

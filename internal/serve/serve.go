@@ -100,8 +100,13 @@ type Server struct {
 	sem    chan struct{}
 
 	draining atomic.Bool
-	wg       sync.WaitGroup
-	mux      *http.ServeMux
+	// admit orders batch admission against Drain: a batch joins wg under
+	// the read lock only while not draining, and Drain raises the flag
+	// under the write lock, so every wg.Add happens before Drain's
+	// wg.Wait — the WaitGroup contract when the count may be zero.
+	admit sync.RWMutex
+	wg    sync.WaitGroup
+	mux   *http.ServeMux
 }
 
 // New builds a Server.
@@ -144,7 +149,9 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // lost — they complete and their responses are written before Drain
 // returns.
 func (s *Server) Drain(ctx context.Context) error {
+	s.admit.Lock()
 	s.draining.Store(true)
+	s.admit.Unlock()
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
@@ -347,17 +354,20 @@ func (s *Server) handleBatches(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST a batch")
 		return
 	}
-	// Count the batch in the in-flight group before the draining check:
-	// Drain sets the flag before waiting on the group, so a batch that
-	// passes the check here is by construction waited for.
-	s.wg.Add(1)
-	defer s.wg.Done()
+	// Join the in-flight group under the admission lock: Drain raises the
+	// flag before waiting on the group, so a batch that passes the check
+	// here is by construction waited for.
+	s.admit.RLock()
 	if s.draining.Load() {
+		s.admit.RUnlock()
 		s.m.rejectedDraining.Add(1)
 		retryAfter(w, 5*time.Second)
 		writeError(w, http.StatusServiceUnavailable, "serve: draining")
 		return
 	}
+	s.wg.Add(1)
+	s.admit.RUnlock()
+	defer s.wg.Done()
 
 	var br BatchRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))

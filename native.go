@@ -116,39 +116,24 @@ func WithNativeDisruptor(d NativeDisruptor) Option {
 	return func(o *options) { o.nat.set, o.nat.disrupt = true, d }
 }
 
-// wrapNativeParallel builds the native backend over a compiled
-// parallel-technique engine.
-func wrapNativeParallel(p *ParallelSim, o options) (Engine, error) {
-	init, sim := p.s.Programs()
-	return newNativeSim(p, native.Config{
-		Technique: TechParallel.String(),
-		Layout:    native.ParallelLayout(p.s, p.s.Circuit()),
-		Init:      init,
-		Sim:       sim,
-	}, p.s.Circuit(), o)
-}
-
-// wrapNativePCSet builds the native backend over a compiled PC-set
-// engine.
-func wrapNativePCSet(p *PCSetSim, o options) (Engine, error) {
-	init, sim := p.s.Programs()
-	return newNativeSim(p, native.Config{
-		Technique: TechPCSet.String(),
-		Layout:    native.PCSetLayout(p.s, p.s.Circuit()),
-		Init:      init,
-		Sim:       sim,
-	}, p.s.Circuit(), o)
-}
-
-func newNativeSim(base nativeBase, cfg native.Config, c *Circuit, o options) (Engine, error) {
-	cfg.Engine = "native/" + cfg.Technique
-	cfg.CircuitHash = native.HashBench(c)
-	cfg.Policy = o.nat.pol
-	cfg.GoTool = o.nat.goTool
-	cfg.Chaos = o.nat.chaos
-	cfg.Disrupt = o.nat.disrupt
-	cfg.Obs = o.observer
-	sup, err := native.New(cfg)
+// wrapNative builds the native backend over a compiled engine.
+func wrapNative(base *CompiledSim, o options) (Engine, error) {
+	init, sim := base.s.Programs()
+	c := base.s.Circuit()
+	technique := base.s.Name()
+	sup, err := native.New(native.Config{
+		Engine:      "native/" + technique,
+		Technique:   technique,
+		Layout:      native.LayoutOf(base.s),
+		Init:        init,
+		Sim:         sim,
+		CircuitHash: native.HashBench(c),
+		Policy:      o.nat.pol,
+		GoTool:      o.nat.goTool,
+		Chaos:       o.nat.chaos,
+		Disrupt:     o.nat.disrupt,
+		Obs:         o.observer,
+	})
 	if err != nil {
 		base.Close()
 		return nil, fmt.Errorf("udsim: native backend: %w", err)
@@ -166,17 +151,6 @@ func newNativeSim(base nativeBase, cfg native.Config, c *Circuit, o options) (En
 	return n, nil
 }
 
-// nativeBase is the in-process fallback surface NativeSim delegates to;
-// both compiled wrappers satisfy it.
-type nativeBase interface {
-	Engine
-	Tracer
-	Closer
-	Streamer
-	Introspector
-	Observable
-}
-
 // NativeSim is a compiled engine whose vectors run in a supervised
 // native-code subprocess — the result of Open with WithNativeBackend.
 // It implements the same optional interfaces as the engine it wraps;
@@ -186,7 +160,7 @@ type nativeBase interface {
 // Like the engines it wraps, a NativeSim is not safe for concurrent
 // use.
 type NativeSim struct {
-	base nativeBase
+	base *CompiledSim
 	sup  *native.Supervisor
 	pol  GuardPolicy
 	obs  *Observer
@@ -361,6 +335,9 @@ func (n *NativeSim) Observe(o *Observer) {
 
 // Snapshot returns the attached observer's counters, nil without one.
 func (n *NativeSim) Snapshot() *Snapshot { return n.base.Snapshot() }
+
+// compiled implements compiledEngine.
+func (n *NativeSim) compiled() *CompiledSim { return n.base }
 
 // Close shuts the child down, removes its build workspace and releases
 // the in-process engine.

@@ -56,39 +56,6 @@ func sameEngine(t *testing.T, label string, a, b Engine, vecs *vectors.Set) {
 	}
 }
 
-// TestOpenMatchesDeprecatedConstructors asserts the unified Open API and
-// the deprecated per-technique constructors build identical engines on
-// every benchmark profile circuit.
-func TestOpenMatchesDeprecatedConstructors(t *testing.T) {
-	for _, name := range ISCAS85Names() {
-		c, err := ISCAS85(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vecs := vectors.Random(4, len(c.Inputs), 42)
-
-		a, err := Open(c, TechParallel, WithTrimming())
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := NewParallel(c, WithTrimming())
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameEngine(t, name+"/parallel", a, b, vecs)
-
-		a2, err := Open(c, TechPCSet)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b2, err := NewPCSet(c, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameEngine(t, name+"/pcset", a2, b2, vecs)
-	}
-}
-
 // TestOpenTechniqueNames asserts every CLI technique name round-trips
 // through ParseTechnique + Open.
 func TestOpenTechniqueNames(t *testing.T) {
@@ -146,36 +113,13 @@ func TestOpenRejectsInapplicableOptions(t *testing.T) {
 			t.Errorf("%s: expected rejection", tc.label)
 		}
 	}
-	// The deprecated wrappers enforce the same contract.
-	if _, err := NewParallel(c, WithMonitor(c.Outputs[0])); err == nil {
-		t.Error("NewParallel accepted WithMonitor")
-	}
-	if _, err := NewPCSet(c, nil, WithTrimming()); err == nil {
-		t.Error("NewPCSet accepted WithTrimming")
-	}
-	// ... including refusing guard options, which need Open's wrapping.
-	if _, err := NewParallel(c, WithGuard(DefaultGuardPolicy())); err == nil {
-		t.Error("NewParallel accepted WithGuard")
-	}
-	if _, err := NewPCSet(c, nil, WithGuard(DefaultGuardPolicy())); err == nil {
-		t.Error("NewPCSet accepted WithGuard")
-	}
-	// WithMonitor through Open replaces NewPCSet's monitor argument.
-	mon, err := Open(c, TechPCSet, WithMonitor(c.Outputs...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	old, err := NewPCSet(c, append([]NetID(nil), c.Outputs...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameEngine(t, "pcset/monitor", mon, old, vectors.Random(2, len(c.Inputs), 7))
 }
 
 // TestTracerContract is the regression test for the facade asymmetry
-// this API carried for a while: ParallelSim.ValueAt hard-coded ok=true
-// (even for negative times), while PCSetSim could report unobservable
-// nets. Both now route through the engines' Trace contract.
+// this API carried for a while: the parallel engine's ValueAt hard-coded
+// ok=true (even for negative times), while the PC-set engine could
+// report unobservable nets. Both now route through the engines' Trace
+// contract.
 func TestTracerContract(t *testing.T) {
 	c, err := ISCAS85("c432")
 	if err != nil {

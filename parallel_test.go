@@ -72,7 +72,7 @@ func TestShardedDeterminismSweep(t *testing.T) {
 	}
 }
 
-func compareParallel(t *testing.T, ref, sh *ParallelSim, vecs *vectors.Set, w int) {
+func compareParallel(t *testing.T, ref, sh *CompiledSim, vecs *vectors.Set, w int) {
 	t.Helper()
 	if err := ref.ResetConsistent(nil); err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func compareParallel(t *testing.T, ref, sh *ParallelSim, vecs *vectors.Set, w in
 	}
 }
 
-func comparePCSet(t *testing.T, ref, sh *PCSetSim, vecs *vectors.Set, w int) {
+func comparePCSet(t *testing.T, ref, sh *CompiledSim, vecs *vectors.Set, w int) {
 	t.Helper()
 	if err := ref.ResetConsistent(nil); err != nil {
 		t.Fatal(err)

@@ -56,16 +56,11 @@ func Resubstitute(c *Circuit, cfg ResubConfig) (*ResubResult, error) { return re
 func VerifyRewrite(res *ResubResult) *VerifyReport { return verify.CheckRewrite(res) }
 
 // ResubResultOf returns the resubstitution result an engine was built
-// with (Open with WithResubstitution), unwrapping guarded engines, or
-// nil for engines built without the pass.
+// with (Open with WithResubstitution), unwrapping guarded and native
+// engines, or nil for engines built without the pass.
 func ResubResultOf(e Engine) *ResubResult {
-	switch s := e.(type) {
-	case *ParallelSim:
-		return s.Resub()
-	case *PCSetSim:
-		return s.Resub()
-	case *GuardedSim:
-		return ResubResultOf(s.base)
+	if p := compiledOf(e); p != nil {
+		return p.Resub()
 	}
 	return nil
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"udsim/internal/ndsim"
-	"udsim/internal/parsim"
-	"udsim/internal/pcset"
 	"udsim/internal/scoap"
 )
 
@@ -67,21 +65,16 @@ func (n *NominalSim) Events() int64 { return n.s.Events }
 // path-delay sums; the generated code stays straight-line, queue-free and
 // branch-free; the price is larger PC-sets. The simulator's waveforms
 // coincide exactly with NewNominalDelay's (tested). monitor selects the
-// fully observable nets (nil = primary outputs); dm nil means unit delays.
-func NewNominalPCSet(c *Circuit, monitor []NetID, dm DelayModel) (*PCSetSim, error) {
-	norm := c.Normalize()
-	var delays []int
-	if dm != nil {
-		delays = make([]int, norm.NumGates())
-		for i := range norm.Gates {
-			delays[i] = dm(&norm.Gates[i])
-		}
+// fully observable nets (nil = primary outputs; a WithMonitor option
+// takes precedence); dm nil means unit delays. The engine is built
+// through Open's path, so every option applies or is rejected exactly
+// as Open(c, TechPCSet, opts...) would.
+func NewNominalPCSet(c *Circuit, monitor []NetID, dm DelayModel, opts ...Option) (Engine, error) {
+	o := collectOptions(opts)
+	if !o.monitorSet {
+		o.monitor = monitor
 	}
-	s, err := pcset.CompileWithDelays(norm, monitor, delays)
-	if err != nil {
-		return nil, err
-	}
-	return &PCSetSim{s: s}, nil
+	return open(c, TechPCSet, o, dm)
 }
 
 // NewNominalParallel compiles a circuit with the parallel technique
@@ -90,30 +83,15 @@ func NewNominalPCSet(c *Circuit, monitor []NetID, dm DelayModel) (*PCSetSim, err
 // exceeds the word width) and the d low bit positions of each field carry
 // previous-vector values. Waveforms coincide exactly with
 // NewNominalDelay's (tested). The unit-delay optimizations (trimming,
-// shift elimination) do not combine with nominal delays.
-func NewNominalParallel(c *Circuit, dm DelayModel, opts ...Option) (*ParallelSim, error) {
-	var o options
-	for _, f := range opts {
-		if f != nil {
-			f(&o)
-		}
-	}
+// shift elimination) do not combine with nominal delays; every other
+// option applies or is rejected exactly as Open(c, TechParallel,
+// opts...) would.
+func NewNominalParallel(c *Circuit, dm DelayModel, opts ...Option) (Engine, error) {
+	o := collectOptions(opts)
 	if o.trim || o.shiftEl != NoShiftElimination {
 		return nil, fmt.Errorf("udsim: nominal delays are mutually exclusive with trimming and shift elimination")
 	}
-	norm := c.Normalize()
-	var delays []int
-	if dm != nil {
-		delays = make([]int, norm.NumGates())
-		for i := range norm.Gates {
-			delays[i] = dm(&norm.Gates[i])
-		}
-	}
-	s, err := parsim.Compile(norm, parsim.Config{WordBits: o.wordBits, Delays: delays})
-	if err != nil {
-		return nil, err
-	}
-	return &ParallelSim{s: s, opts: o}, nil
+	return open(c, TechParallel, o, dm)
 }
 
 // --- SCOAP testability ----------------------------------------------------

@@ -17,11 +17,11 @@
 //	b.Output(o)
 //	c := b.MustBuild()
 //
-//	sim, _ := udsim.NewParallel(c)
+//	sim, _ := udsim.Open(c, udsim.TechParallel)
 //	sim.ResetConsistent(nil)
 //	sim.Apply([]bool{true})
 //	for t := 0; t <= sim.Depth(); t++ {
-//	    v, _ := sim.ValueAt(o, t)
+//	    v, _ := sim.(udsim.Tracer).ValueAt(o, t)
 //	    fmt.Println(t, v) // shows the unit-delay glitch on O
 //	}
 package udsim
@@ -35,6 +35,7 @@ import (
 	"udsim/internal/circuit"
 	"udsim/internal/codegen/ir"
 	"udsim/internal/codegen/validate"
+	"udsim/internal/engine"
 	"udsim/internal/eventsim"
 	"udsim/internal/gen"
 	"udsim/internal/lcc"
@@ -152,8 +153,9 @@ type Engine interface {
 //	Snapshotter  — read-only counter snapshots (the scrape surface;
 //	               every Observable is also a Snapshotter).
 //
-// Both compiled engines (*ParallelSim, *PCSetSim) implement the whole
-// ladder, and *GuardedSim re-exposes every rung of the engine it wraps.
+// The compiled engine (*CompiledSim, either technique) implements the
+// whole ladder, and *GuardedSim re-exposes every rung of the engine it
+// wraps.
 // The interpreted baselines implement only what they can honor (EventSim
 // is a Tracer; the zero-delay engines are Engine only). Consumers — the
 // CLIs, the harness, internal/serve — must drive engines through these
@@ -260,7 +262,8 @@ type (
 // (attaching resets it).
 func NewObserver(cfg ObserverConfig) *Observer { return obs.New(cfg) }
 
-// ShiftElimination selects the alignment algorithm for NewParallel.
+// ShiftElimination selects the alignment algorithm for
+// WithShiftElimination.
 type ShiftElimination int
 
 const (
@@ -353,25 +356,6 @@ func (t Technique) String() string {
 // technique (e.g. WithWordBits on TechPCSet) instead of silently
 // ignoring them.
 type Option func(*options)
-
-// Deprecated per-technique option aliases: the facade once had separate
-// ParallelOption and PCSetOption families. They are now the same type,
-// so existing code — including mixed slices built for NewParallel or
-// NewPCSet — keeps compiling unchanged.
-type (
-	// ParallelOption is Option.
-	//
-	// Deprecated: use Option. Every in-repo caller has been migrated;
-	// this alias is kept for one deprecation cycle and will be removed
-	// in the release after the serve layer (PR 9 or later).
-	ParallelOption = Option
-	// PCSetOption is Option.
-	//
-	// Deprecated: use Option. Every in-repo caller has been migrated;
-	// this alias is kept for one deprecation cycle and will be removed
-	// in the release after the serve layer (PR 9 or later).
-	PCSetOption = Option
-)
 
 type options struct {
 	wordBits    int
@@ -523,68 +507,50 @@ func WithMonitor(nets ...NetID) Option {
 	return func(o *options) { o.monitor, o.monitorSet = nets, true }
 }
 
-// WithParallelExec is WithExec.
-//
-// Deprecated: use WithExec. Every in-repo caller has been migrated (the
-// Open-equivalence test keeps exercising the alias until it goes); the
-// wrapper will be removed in the release after the serve layer (PR 9 or
-// later).
-func WithParallelExec(strategy ExecStrategy, workers int) Option {
-	return WithExec(strategy, workers)
-}
-
-// WithPCSetParallelExec is WithExec.
-//
-// Deprecated: use WithExec. Every in-repo caller has been migrated (the
-// Open-equivalence test keeps exercising the alias until it goes); the
-// wrapper will be removed in the release after the serve layer (PR 9 or
-// later).
-func WithPCSetParallelExec(strategy ExecStrategy, workers int) Option {
-	return WithExec(strategy, workers)
-}
-
 // Open builds a simulation engine for the circuit with the given
 // technique — the single constructor behind every CLI and harness
 // entry point. Options that do not apply to the technique are an error.
 // Engines built with WithExec own worker goroutines; release them via
 // the Closer interface when done.
 func Open(c *Circuit, technique Technique, opts ...Option) (Engine, error) {
+	return open(c, technique, collectOptions(opts), nil)
+}
+
+// collectOptions applies an option list to a zero options value.
+func collectOptions(opts []Option) options {
 	var o options
 	for _, f := range opts {
 		if f != nil {
 			f(&o)
 		}
 	}
+	return o
+}
+
+// open is Open over resolved options; dm selects nominal per-gate
+// delays for the compiled techniques (nil = the paper's unit delays).
+func open(c *Circuit, technique Technique, o options, dm DelayModel) (Engine, error) {
 	if o.nativeMode() {
 		if err := o.checkNative(technique); err != nil {
 			return nil, err
 		}
 	}
 	switch technique {
-	case TechParallel:
-		if o.monitorSet {
+	case TechParallel, TechPCSet:
+		if technique == TechParallel && o.monitorSet {
 			return nil, fmt.Errorf("udsim: WithMonitor applies only to %v", TechPCSet)
 		}
-		p, err := openParallel(c, o)
-		if err != nil {
-			return nil, err
-		}
-		if o.nativeMode() {
-			return wrapNativeParallel(p, o)
-		}
-		return wrapGuard(p, &parallelCore{s: p.s}, o)
-	case TechPCSet:
-		if len(o.parallelOnly) > 0 {
+		if technique == TechPCSet && len(o.parallelOnly) > 0 {
 			return nil, fmt.Errorf("udsim: %s applies only to %v", o.parallelOnly[0], TechParallel)
 		}
-		p, err := openPCSet(c, o)
+		p, err := openCompiled(c, technique, o, dm)
 		if err != nil {
 			return nil, err
 		}
 		if o.nativeMode() {
-			return wrapNativePCSet(p, o)
+			return wrapNative(p, o)
 		}
-		return wrapGuard(p, &pcsetCore{s: p.s}, o)
+		return wrapGuard(p, o)
 	case TechEvent3, TechEvent2:
 		if name := o.compiledOnly(); name != "" {
 			return nil, fmt.Errorf("udsim: %s applies only to compiled techniques", name)
@@ -599,9 +565,11 @@ func Open(c *Circuit, technique Technique, opts ...Option) (Engine, error) {
 	return nil, fmt.Errorf("udsim: unknown technique %v", technique)
 }
 
-// openParallel builds the parallel-technique engine from resolved
-// options (shared by Open and the deprecated NewParallel).
-func openParallel(c *Circuit, o options) (*ParallelSim, error) {
+// openCompiled compiles the circuit with the technique and runs the
+// shared tail every compiled engine goes through: static verification,
+// dead-store elimination, codegen validation, level fusion, execution
+// strategy, observer, and the resubstitution cross-check.
+func openCompiled(c *Circuit, technique Technique, o options, dm DelayModel) (*CompiledSim, error) {
 	var rs *resubState
 	if o.resub {
 		st, err := buildResub(c)
@@ -612,9 +580,87 @@ func openParallel(c *Circuit, o options) (*ParallelSim, error) {
 		// the caller's original net IDs through rs. Resubstitution implies
 		// WithVerify: V001-V012 re-run on the optimized compile.
 		rs, c, o.verify = st, st.res.Optimized, true
+		if len(o.monitor) > 0 {
+			tr, err := st.translateMonitor(o.monitor)
+			if err != nil {
+				return nil, err
+			}
+			o.monitor = tr
+		}
 	}
-	cfg := parsim.Config{WordBits: o.wordBits, Trim: o.trim, Verify: o.verify}
-	target := c
+	var (
+		core *engine.Core
+		err  error
+	)
+	if technique == TechParallel {
+		core, err = compileParallel(c, o, dm)
+	} else {
+		core, err = compilePCSet(c, o, dm)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if o.verify {
+		if err := verify.Check(core.Spec(), verify.Options{}).Err(); err != nil {
+			return nil, fmt.Errorf("%s: %w", core.Name(), err)
+		}
+	}
+	if o.deadStore {
+		if _, err := core.EliminateDeadStores(); err != nil {
+			return nil, err
+		}
+	}
+	if o.cgValidate {
+		pi, ps := core.Programs()
+		if err := validateEmission(core.Spec(), pi, ps); err != nil {
+			return nil, err
+		}
+	}
+	if o.fuseLevels {
+		core.SetLevelFusion(true)
+	}
+	if o.execSet {
+		if _, err := core.ConfigureExec(o.exec, o.execWorkers); err != nil {
+			return nil, err
+		}
+	}
+	if o.observer != nil {
+		core.SetObserver(o.observer)
+	}
+	p := &CompiledSim{s: core, opts: o, rs: rs}
+	if rs != nil {
+		err := resubCrossCheck(p, rs, func() (Engine, error) {
+			return openCompiled(rs.res.Original, technique,
+				options{wordBits: o.wordBits, trim: o.trim, shiftEl: o.shiftEl}, dm)
+		})
+		if err != nil {
+			core.Close()
+			return nil, err
+		}
+	}
+	return p, nil
+}
+
+// nominalDelays resolves a delay model over the normalized circuit's
+// gates (nil = unit delays).
+func nominalDelays(norm *Circuit, dm DelayModel) []int {
+	if dm == nil {
+		return nil
+	}
+	delays := make([]int, norm.NumGates())
+	for i := range norm.Gates {
+		delays[i] = dm(&norm.Gates[i])
+	}
+	return delays
+}
+
+// compileParallel is the parallel technique's compile step.
+func compileParallel(c *Circuit, o options, dm DelayModel) (*engine.Core, error) {
+	cfg := parsim.Config{WordBits: o.wordBits, Trim: o.trim}
+	if dm != nil {
+		c = c.Normalize()
+		cfg.Delays = nominalDelays(c, dm)
+	}
 	if o.shiftEl != NoShiftElimination {
 		norm, a, err := parsim.Analyze(c)
 		if err != nil {
@@ -630,144 +676,44 @@ func openParallel(c *Circuit, o options) (*ParallelSim, error) {
 			return nil, err
 		}
 		cfg.Align = res
-		target = norm
+		c = norm
 	}
-	s, err := parsim.Compile(target, cfg)
+	s, err := parsim.Compile(c, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if o.deadStore {
-		if _, err := s.EliminateDeadStores(); err != nil {
-			return nil, err
-		}
-	}
-	if o.cgValidate {
-		pi, ps := s.Programs()
-		if err := validateEmission(s.Spec(), pi, ps); err != nil {
-			return nil, err
-		}
-	}
-	if o.fuseLevels {
-		s.SetLevelFusion(true)
-	}
-	if o.execSet {
-		if _, err := s.ConfigureExec(o.exec, o.execWorkers); err != nil {
-			return nil, err
-		}
-	}
-	if o.observer != nil {
-		s.SetObserver(o.observer)
-	}
-	p := &ParallelSim{s: s, opts: o, rs: rs}
-	if rs != nil {
-		err := resubCrossCheck(p, rs, func() (Engine, error) {
-			return openParallel(rs.res.Original,
-				options{wordBits: o.wordBits, trim: o.trim, shiftEl: o.shiftEl})
-		})
-		if err != nil {
-			s.Close()
-			return nil, err
-		}
-	}
-	return p, nil
+	return s.Core, nil
 }
 
-// openPCSet builds the PC-set engine from resolved options (shared by
-// Open and the deprecated NewPCSet).
-func openPCSet(c *Circuit, o options) (*PCSetSim, error) {
-	var rs *resubState
-	if o.resub {
-		st, err := buildResub(c)
-		if err != nil {
-			return nil, err
-		}
-		rs, c, o.verify = st, st.res.Optimized, true
-		if len(o.monitor) > 0 {
-			tr, err := st.translateMonitor(o.monitor)
-			if err != nil {
-				return nil, err
-			}
-			o.monitor = tr
-		}
+// compilePCSet is the PC-set method's compile step.
+func compilePCSet(c *Circuit, o options, dm DelayModel) (*engine.Core, error) {
+	var delays []int
+	if dm != nil {
+		c = c.Normalize()
+		delays = nominalDelays(c, dm)
 	}
-	var (
-		s   *pcset.Sim
-		err error
-	)
-	if o.verify {
-		s, err = pcset.CompileChecked(c, o.monitor)
-	} else {
-		s, err = pcset.Compile(c, o.monitor)
-	}
+	s, err := pcset.CompileWithDelays(c, o.monitor, delays)
 	if err != nil {
 		return nil, err
 	}
-	if o.deadStore {
-		if _, err := s.EliminateDeadStores(); err != nil {
-			return nil, err
-		}
-	}
-	if o.cgValidate {
-		pi, ps := s.Programs()
-		if err := validateEmission(s.Spec(), pi, ps); err != nil {
-			return nil, err
-		}
-	}
-	if o.execSet {
-		if _, err := s.ConfigureExec(o.exec, o.execWorkers); err != nil {
-			return nil, err
-		}
-	}
-	if o.observer != nil {
-		s.SetObserver(o.observer)
-	}
-	p := &PCSetSim{s: s, opts: o, rs: rs}
-	if rs != nil {
-		err := resubCrossCheck(p, rs, func() (Engine, error) {
-			return openPCSet(rs.res.Original, options{})
-		})
-		if err != nil {
-			s.Close()
-			return nil, err
-		}
-	}
-	return p, nil
+	return s.Core, nil
 }
 
-// NewParallel compiles a circuit with the parallel technique (§3),
-// optionally optimized.
-//
-// Deprecated: use Open(c, TechParallel, opts...); NewParallel remains
-// as a thin wrapper with a concrete return type. Every in-repo caller
-// has been migrated (only the Open-equivalence test still exercises the
-// wrapper); it will be removed in the release after the serve layer
-// (PR 9 or later).
-func NewParallel(c *Circuit, opts ...Option) (*ParallelSim, error) {
-	var o options
-	for _, f := range opts {
-		if f != nil {
-			f(&o)
-		}
-	}
-	if o.monitorSet {
-		return nil, fmt.Errorf("udsim: WithMonitor applies only to %v", TechPCSet)
-	}
-	if o.guardSet || o.inject != nil {
-		return nil, fmt.Errorf("udsim: WithGuard requires Open (the guarded engine wraps the concrete simulator)")
-	}
-	return openParallel(c, o)
-}
-
-// ParallelSim is a compiled parallel-technique simulator.
-type ParallelSim struct {
-	s    *parsim.Sim
+// CompiledSim is a compiled unit-delay simulator: the parallel
+// technique or the PC-set method, as selected at Open. Both techniques
+// run on the same engine core and differ only in their compiler and
+// variable layout, so one type serves both; the few accessors that only
+// one technique can honor report that on the other (ApplyLanes errors,
+// LaneValueAt reports ok=false).
+type CompiledSim struct {
+	s    *engine.Core
 	opts options
 	rs   *resubState // non-nil iff built with WithResubstitution
 }
 
 // EngineName identifies the configuration.
-func (p *ParallelSim) EngineName() string {
-	n := "parallel"
+func (p *CompiledSim) EngineName() string {
+	n := p.s.Name()
 	if p.opts.trim {
 		n += "+trim"
 	}
@@ -783,9 +729,12 @@ func (p *ParallelSim) EngineName() string {
 	return n
 }
 
+// compiled implements compiledEngine.
+func (p *CompiledSim) compiled() *CompiledSim { return p }
+
 // Circuit returns the (normalized) circuit — under WithResubstitution
 // the original one, whose IDs every accessor speaks.
-func (p *ParallelSim) Circuit() *Circuit {
+func (p *CompiledSim) Circuit() *Circuit {
 	if p.rs != nil {
 		return p.rs.res.Original
 	}
@@ -794,7 +743,7 @@ func (p *ParallelSim) Circuit() *Circuit {
 
 // Resub returns the resubstitution result the engine was built on, nil
 // without WithResubstitution.
-func (p *ParallelSim) Resub() *ResubResult {
+func (p *CompiledSim) Resub() *ResubResult {
 	if p.rs == nil {
 		return nil
 	}
@@ -802,28 +751,28 @@ func (p *ParallelSim) Resub() *ResubResult {
 }
 
 // Depth returns the circuit depth in gate delays.
-func (p *ParallelSim) Depth() int { return p.s.Depth() }
+func (p *CompiledSim) Depth() int { return p.s.Depth() }
 
 // ResetConsistent initializes the state (nil = all-zeros assignment).
-func (p *ParallelSim) ResetConsistent(inputs []bool) error { return p.s.ResetConsistent(inputs) }
+func (p *CompiledSim) ResetConsistent(inputs []bool) error { return p.s.ResetConsistent(inputs) }
 
 // Apply simulates one input vector.
-func (p *ParallelSim) Apply(vec []bool) error { return p.s.ApplyVector(vec) }
+func (p *CompiledSim) Apply(vec []bool) error { return p.s.ApplyVector(vec) }
 
 // ApplyStream simulates a stream of input vectors under the configured
-// execution strategy (see WithParallelExec). Sequential and sharded
-// execution produce one coherent, bit-identical stream; vector batching
-// splits the stream into per-worker blocks that run concurrently as
+// execution strategy (see WithExec). Sequential and sharded execution
+// produce one coherent, bit-identical stream; vector batching splits
+// the stream into per-worker blocks that run concurrently as
 // independent substreams.
-func (p *ParallelSim) ApplyStream(vecs [][]bool) error { return p.s.ApplyStream(vecs) }
+func (p *CompiledSim) ApplyStream(vecs [][]bool) error { return p.s.ApplyStream(vecs) }
 
 // ExecStrategy returns the resolved execution strategy (ExecSequential
-// unless WithParallelExec was given).
-func (p *ParallelSim) ExecStrategy() ExecStrategy { return p.s.ExecStrategy() }
+// unless WithExec was given).
+func (p *CompiledSim) ExecStrategy() ExecStrategy { return p.s.ExecStrategy() }
 
 // BlockFinal returns the final value of a net in vector-batch block k
 // (block 0 is the stream the simulator itself carries).
-func (p *ParallelSim) BlockFinal(k int, n NetID) bool {
+func (p *CompiledSim) BlockFinal(k int, n NetID) bool {
 	if p.rs != nil {
 		return p.rs.final(func(x NetID) bool { return p.s.BlockFinal(k, x) }, n)
 	}
@@ -832,7 +781,7 @@ func (p *ParallelSim) BlockFinal(k int, n NetID) bool {
 
 // Close releases any multicore execution workers; the simulator remains
 // usable sequentially. A no-op for sequential engines.
-func (p *ParallelSim) Close() { p.s.Close() }
+func (p *CompiledSim) Close() { p.s.Close() }
 
 // Clone returns an independent engine sharing the compiled programs and
 // layout (no recompilation) but owning a private copy of all mutable
@@ -842,199 +791,23 @@ func (p *ParallelSim) Close() { p.s.Close() }
 // re-attaches that observer, starting a new observation window — so
 // build the whole family (an engine pool) before accumulating counters.
 // Close the clone when done to release its workers.
-func (p *ParallelSim) Clone() (Engine, error) {
+func (p *CompiledSim) Clone() (Engine, error) { return p.clone() }
+
+// clone is Clone with the concrete result type, for the wrappers.
+func (p *CompiledSim) clone() (*CompiledSim, error) {
 	cl := p.s.Clone()
 	if p.opts.execSet {
 		if _, err := cl.ConfigureExec(p.opts.exec, p.opts.execWorkers); err != nil {
 			return nil, err
 		}
 	}
-	return &ParallelSim{s: cl, opts: p.opts, rs: p.rs}, nil
+	return &CompiledSim{s: cl, opts: p.opts, rs: p.rs}, nil
 }
 
 // Final returns the settled value of a net. Under WithResubstitution a
 // merged net reads its surviving representative, a constant net its
 // proven value, and a stripped net false.
-func (p *ParallelSim) Final(n NetID) bool {
-	if p.rs != nil {
-		return p.rs.final(p.s.Final, n)
-	}
-	return p.s.Final(n)
-}
-
-// ValueAt returns the value of net n at time t (ok=false for negative
-// times, which belong to the previous vector; all in-range times are
-// observable — the parallel technique retains every waveform). Under
-// WithResubstitution merged nets resolve to the surviving
-// representative's waveform and stripped nets are unobservable.
-func (p *ParallelSim) ValueAt(n NetID, t int) (bool, bool) {
-	if p.rs != nil {
-		return p.rs.valueAt(p.s.Trace, p.s.Depth(), n, t)
-	}
-	return p.s.Trace(n, t)
-}
-
-// Observe attaches a runtime observer (nil detaches); see NewObserver.
-func (p *ParallelSim) Observe(o *Observer) { p.s.SetObserver(o) }
-
-// Snapshot returns the attached observer's counters, nil without one.
-func (p *ParallelSim) Snapshot() *Snapshot { return p.s.Snapshot() }
-
-// History returns net n's full waveform for the last vector. Under
-// WithResubstitution a merged net returns the representative's waveform
-// (inverted back for complemented merges), a constant net a flat
-// waveform, and a stripped net nil.
-func (p *ParallelSim) History(n NetID) []bool {
-	if p.rs == nil {
-		return p.s.History(n)
-	}
-	st := p.rs
-	if int(n) >= len(st.ok) || !st.ok[n] {
-		return nil
-	}
-	if st.isC[n] {
-		h := make([]bool, p.s.Depth()+1)
-		for i := range h {
-			h[i] = st.cval[n]
-		}
-		return h
-	}
-	h := p.s.History(st.opt[n])
-	if !st.inv[n] {
-		return h
-	}
-	out := make([]bool, len(h))
-	for i, v := range h {
-		out[i] = !v
-	}
-	return out
-}
-
-// CodeSize returns the number of compiled straight-line instructions.
-func (p *ParallelSim) CodeSize() int { return p.s.CodeSize() }
-
-// EliminateDeadStores strips the provably-dead instructions (see
-// WithDeadStoreElimination) and returns how many were removed.
-func (p *ParallelSim) EliminateDeadStores() (int, error) { return p.s.EliminateDeadStores() }
-
-// WordsPerField returns the widest bit-field in machine words.
-func (p *ParallelSim) WordsPerField() int { return p.s.WordsPerField() }
-
-// ShiftCount returns the number of shift instructions in the compiled
-// simulation code.
-func (p *ParallelSim) ShiftCount() int { return p.s.ShiftCount() }
-
-// NewPCSet compiles a circuit with the PC-set method (§2). monitor lists
-// the nets whose full waveforms must be observable (nil = the primary
-// outputs); monitored nets receive zero-insertion like inputs of the
-// paper's PRINT pseudo-gate.
-//
-// Deprecated: use Open(c, TechPCSet, WithMonitor(nets...), opts...);
-// NewPCSet remains as a thin wrapper with a concrete return type. A
-// WithMonitor option takes precedence over the monitor argument. Every
-// in-repo caller has been migrated (only the Open-equivalence test
-// still exercises the wrapper); it will be removed in the release after
-// the serve layer (PR 9 or later).
-func NewPCSet(c *Circuit, monitor []NetID, opts ...Option) (*PCSetSim, error) {
-	var o options
-	for _, f := range opts {
-		if f != nil {
-			f(&o)
-		}
-	}
-	if len(o.parallelOnly) > 0 {
-		return nil, fmt.Errorf("udsim: %s applies only to %v", o.parallelOnly[0], TechParallel)
-	}
-	if o.guardSet || o.inject != nil {
-		return nil, fmt.Errorf("udsim: WithGuard requires Open (the guarded engine wraps the concrete simulator)")
-	}
-	if !o.monitorSet {
-		o.monitor = monitor
-	}
-	return openPCSet(c, o)
-}
-
-// PCSetSim is a compiled PC-set method simulator.
-type PCSetSim struct {
-	s    *pcset.Sim
-	opts options
-	rs   *resubState // non-nil iff built with WithResubstitution
-}
-
-// EngineName identifies the technique.
-func (p *PCSetSim) EngineName() string {
-	if p.rs != nil {
-		return "pcset+resub"
-	}
-	return "pcset"
-}
-
-// Circuit returns the (normalized) circuit — under WithResubstitution
-// the original one, whose IDs every accessor speaks.
-func (p *PCSetSim) Circuit() *Circuit {
-	if p.rs != nil {
-		return p.rs.res.Original
-	}
-	return p.s.Circuit()
-}
-
-// Resub returns the resubstitution result the engine was built on, nil
-// without WithResubstitution.
-func (p *PCSetSim) Resub() *ResubResult {
-	if p.rs == nil {
-		return nil
-	}
-	return p.rs.res
-}
-
-// Depth returns the circuit depth in gate delays.
-func (p *PCSetSim) Depth() int { return p.s.Depth() }
-
-// ResetConsistent initializes the state (nil = all-zeros assignment).
-func (p *PCSetSim) ResetConsistent(inputs []bool) error { return p.s.ResetConsistent(inputs) }
-
-// Apply simulates one input vector.
-func (p *PCSetSim) Apply(vec []bool) error { return p.s.ApplyVector(vec) }
-
-// ApplyStream simulates a stream of input vectors under the configured
-// execution strategy (see WithPCSetParallelExec).
-func (p *PCSetSim) ApplyStream(vecs [][]bool) error { return p.s.ApplyStream(vecs) }
-
-// ExecStrategy returns the resolved execution strategy (ExecSequential
-// unless WithPCSetParallelExec was given).
-func (p *PCSetSim) ExecStrategy() ExecStrategy { return p.s.ExecStrategy() }
-
-// BlockFinal returns the final value of a net in vector-batch block k
-// (block 0 is the stream the simulator itself carries).
-func (p *PCSetSim) BlockFinal(k int, n NetID) bool {
-	if p.rs != nil {
-		return p.rs.final(func(x NetID) bool { return p.s.BlockFinal(k, x) }, n)
-	}
-	return p.s.BlockFinal(k, n)
-}
-
-// Close releases any multicore execution workers; the simulator remains
-// usable sequentially. A no-op for sequential engines.
-func (p *PCSetSim) Close() { p.s.Close() }
-
-// Clone returns an independent engine sharing the compiled programs and
-// layout (no recompilation) but owning a private copy of all mutable
-// state, configured for the parent's execution strategy; see
-// (*ParallelSim).Clone for observer-sharing semantics.
-func (p *PCSetSim) Clone() (Engine, error) {
-	cl := p.s.Clone()
-	if p.opts.execSet {
-		if _, err := cl.ConfigureExec(p.opts.exec, p.opts.execWorkers); err != nil {
-			return nil, err
-		}
-	}
-	return &PCSetSim{s: cl, opts: p.opts, rs: p.rs}, nil
-}
-
-// Final returns the settled value of a net. Under WithResubstitution a
-// merged net reads its surviving representative, a constant net its
-// proven value, and a stripped net false.
-func (p *PCSetSim) Final(n NetID) bool {
+func (p *CompiledSim) Final(n NetID) bool {
 	if p.rs != nil {
 		return p.rs.final(p.s.Final, n)
 	}
@@ -1042,45 +815,99 @@ func (p *PCSetSim) Final(n NetID) bool {
 }
 
 // ValueAt returns net n's value at time t, with ok=false for negative
-// times and when the time precedes the net's first potential change and
-// the net is unmonitored. Under WithResubstitution merged nets resolve
-// to the surviving representative and stripped nets are unobservable.
-func (p *PCSetSim) ValueAt(n NetID, t int) (bool, bool) {
+// times (they belong to the previous vector). The parallel technique
+// retains every waveform; under the PC-set method ok is also false when
+// the time precedes an unmonitored net's first potential change (see
+// WithMonitor). Under WithResubstitution merged nets resolve to the
+// surviving representative's waveform and stripped nets are
+// unobservable.
+func (p *CompiledSim) ValueAt(n NetID, t int) (bool, bool) {
+	tech := p.s.Technique()
 	if p.rs != nil {
-		return p.rs.valueAt(p.s.Trace, p.s.Depth(), n, t)
+		return p.rs.valueAt(tech.Trace, p.s.Depth(), n, t)
 	}
-	return p.s.Trace(n, t)
+	return tech.Trace(n, t)
 }
 
 // Observe attaches a runtime observer (nil detaches); see NewObserver.
-func (p *PCSetSim) Observe(o *Observer) { p.s.SetObserver(o) }
+func (p *CompiledSim) Observe(o *Observer) { p.s.SetObserver(o) }
 
 // Snapshot returns the attached observer's counters, nil without one.
-func (p *PCSetSim) Snapshot() *Snapshot { return p.s.Snapshot() }
+func (p *CompiledSim) Snapshot() *Snapshot { return p.s.Snapshot() }
 
-// ApplyLanes simulates 64 independent vector streams at once (§3's
-// data-parallel mode); packed is the layout of vectors.Set.Packed.
-func (p *PCSetSim) ApplyLanes(packed []uint64) error { return p.s.ApplyLanes(packed) }
-
-// LaneValueAt is ValueAt for one of the 64 data-parallel lanes.
-func (p *PCSetSim) LaneValueAt(n NetID, t, lane int) (bool, bool) {
-	if p.rs != nil {
-		return p.rs.valueAt(func(x NetID, tt int) (bool, bool) {
-			return p.s.LaneValueAt(x, tt, lane)
-		}, p.s.Depth(), n, t)
+// History returns net n's full waveform over times 0..Depth for the
+// last vector, or nil when any of those times is unobservable (a
+// stripped net under WithResubstitution, an unmonitored net under the
+// PC-set method). Under WithResubstitution a merged net returns the
+// representative's waveform (inverted back for complemented merges) and
+// a constant net a flat waveform.
+func (p *CompiledSim) History(n NetID) []bool {
+	h := make([]bool, p.s.Depth()+1)
+	for t := range h {
+		v, ok := p.ValueAt(n, t)
+		if !ok {
+			return nil
+		}
+		h[t] = v
 	}
-	return p.s.LaneValueAt(n, t, lane)
+	return h
 }
 
-// NumVars returns the number of generated variables.
-func (p *PCSetSim) NumVars() int { return p.s.NumVars() }
-
 // CodeSize returns the number of compiled straight-line instructions.
-func (p *PCSetSim) CodeSize() int { return p.s.CodeSize() }
+func (p *CompiledSim) CodeSize() int { return p.s.CodeSize() }
 
 // EliminateDeadStores strips the provably-dead instructions (see
 // WithDeadStoreElimination) and returns how many were removed.
-func (p *PCSetSim) EliminateDeadStores() (int, error) { return p.s.EliminateDeadStores() }
+func (p *CompiledSim) EliminateDeadStores() (int, error) { return p.s.EliminateDeadStores() }
+
+// WordsPerField returns the widest bit-field in machine words; 1 under
+// the PC-set method, whose variables are single words.
+func (p *CompiledSim) WordsPerField() int {
+	if f, ok := p.s.Technique().(interface{ WordsPerField() int }); ok {
+		return f.WordsPerField()
+	}
+	return 1
+}
+
+// ShiftCount returns the number of shift instructions in the compiled
+// simulation code.
+func (p *CompiledSim) ShiftCount() int { return p.s.ShiftCount() }
+
+// NumVars returns the number of generated variables (state words).
+func (p *CompiledSim) NumVars() int { return p.s.NumVars() }
+
+// laneSim is the PC-set method's data-parallel surface.
+type laneSim interface {
+	ApplyLanes(packed []uint64) error
+	LaneValueAt(n NetID, t, lane int) (bool, bool)
+}
+
+// ApplyLanes simulates 64 independent vector streams at once (§3's
+// data-parallel mode); packed is the layout of vectors.Set.Packed. Only
+// the PC-set method has independent bit lanes: the parallel technique's
+// bits are time steps, so it returns an error.
+func (p *CompiledSim) ApplyLanes(packed []uint64) error {
+	l, ok := p.s.Technique().(laneSim)
+	if !ok {
+		return fmt.Errorf("udsim: ApplyLanes applies only to %v", TechPCSet)
+	}
+	return l.ApplyLanes(packed)
+}
+
+// LaneValueAt is ValueAt for one of the 64 data-parallel lanes
+// (ok=false under the parallel technique, which has no lanes).
+func (p *CompiledSim) LaneValueAt(n NetID, t, lane int) (bool, bool) {
+	l, ok := p.s.Technique().(laneSim)
+	if !ok {
+		return false, false
+	}
+	if p.rs != nil {
+		return p.rs.valueAt(func(x NetID, tt int) (bool, bool) {
+			return l.LaneValueAt(x, tt, lane)
+		}, p.s.Depth(), n, t)
+	}
+	return l.LaneValueAt(n, t, lane)
+}
 
 // NewEventDriven builds the interpreted event-driven unit-delay baseline.
 // threeValued selects the {0,1,X} model; otherwise two-valued.
@@ -1215,44 +1042,50 @@ func (z *ZeroDelayInterp) Value(n NetID) V3 { return z.s.Value(n) }
 
 // Static interface checks.
 var (
-	_ Engine = (*ParallelSim)(nil)
-	_ Engine = (*PCSetSim)(nil)
+	_ Engine = (*CompiledSim)(nil)
 	_ Engine = (*EventSim)(nil)
 	_ Engine = (*ZeroDelaySim)(nil)
-	_ Tracer = (*ParallelSim)(nil)
-	_ Tracer = (*PCSetSim)(nil)
+	_ Tracer = (*CompiledSim)(nil)
 	_ Tracer = (*EventSim)(nil)
 
-	_ Closer       = (*ParallelSim)(nil)
-	_ Closer       = (*PCSetSim)(nil)
-	_ Streamer     = (*ParallelSim)(nil)
-	_ Streamer     = (*PCSetSim)(nil)
-	_ Cloner       = (*ParallelSim)(nil)
-	_ Cloner       = (*PCSetSim)(nil)
-	_ Introspector = (*ParallelSim)(nil)
-	_ Introspector = (*PCSetSim)(nil)
-	_ Observable   = (*ParallelSim)(nil)
-	_ Observable   = (*PCSetSim)(nil)
-	_ Snapshotter  = (*ParallelSim)(nil)
-	_ Snapshotter  = (*PCSetSim)(nil)
+	_ Closer       = (*CompiledSim)(nil)
+	_ Streamer     = (*CompiledSim)(nil)
+	_ Cloner       = (*CompiledSim)(nil)
+	_ Introspector = (*CompiledSim)(nil)
+	_ Observable   = (*CompiledSim)(nil)
+	_ Snapshotter  = (*CompiledSim)(nil)
 )
 
 // Levelize exposes the level / minlevel / PC-set analysis of §§1–2 for a
 // combinational circuit.
 func Levelize(c *Circuit) (*levelize.Analysis, error) { return levelize.Analyze(c.Normalize()) }
 
+// compiledEngine is implemented by every engine built on a compiled
+// simulator — CompiledSim itself and the guarded and native wrappers —
+// so introspection sees through the wrappers along one path.
+type compiledEngine interface {
+	compiled() *CompiledSim
+}
+
+// compiledOf returns the compiled simulator underneath an engine, nil
+// for engines without one.
+func compiledOf(e Engine) *CompiledSim {
+	if ce, ok := e.(compiledEngine); ok {
+		return ce.compiled()
+	}
+	return nil
+}
+
 // Programs gives access to an engine's compiled instruction streams when
-// it has them (for disassembly or source generation).
+// it has them (for disassembly or source generation), seeing through
+// guarded and native wrappers.
 func Programs(e Engine) (init, sim *program.Program, ok bool) {
-	switch s := e.(type) {
-	case *ParallelSim:
-		i, m := s.s.Programs()
+	if p := compiledOf(e); p != nil {
+		i, m := p.s.Programs()
 		return i, m, true
-	case *PCSetSim:
-		i, m := s.s.Programs()
-		return i, m, true
-	case *ZeroDelaySim:
-		return &program.Program{WordBits: 64}, s.s.Program(), true
+	}
+	if z, ok := e.(*ZeroDelaySim); ok {
+		return &program.Program{WordBits: 64}, z.s.Program(), true
 	}
 	return nil, nil, false
 }
@@ -1276,13 +1109,11 @@ type (
 // engine was built with a sharded execution strategy. Engines without
 // compiled instruction streams (the interpreted baselines and the
 // zero-delay LCC engine, whose program has no unit-delay layout metadata)
-// return an error.
+// return an error; guarded and native engines verify the compiled
+// engine they wrap.
 func Verify(e Engine, opts VerifyOptions) (*VerifyReport, error) {
-	switch s := e.(type) {
-	case *ParallelSim:
-		return verify.Check(s.s.Spec(), opts), nil
-	case *PCSetSim:
-		return verify.Check(s.s.Spec(), opts), nil
+	if p := compiledOf(e); p != nil {
+		return verify.Check(p.s.Spec(), opts), nil
 	}
 	return nil, fmt.Errorf("udsim: engine %s has no statically verifiable programs", e.EngineName())
 }
@@ -1309,22 +1140,15 @@ func validateEmission(spec *verify.Spec, init, sim *program.Program) error {
 // lifted AST is re-proven single-assignment/def-before-use (V018), and
 // the emission certificate is replayed from scratch (V017). The report
 // is clean exactly when EmitChecked would succeed. Engines without
-// compiled instruction streams return an error.
+// compiled instruction streams return an error; guarded and native
+// engines validate the compiled engine they wrap.
 func ValidateCodegen(e Engine) (*VerifyReport, error) {
-	var (
-		spec     *verify.Spec
-		init, si *program.Program
-	)
-	switch s := e.(type) {
-	case *ParallelSim:
-		spec = s.s.Spec()
-		init, si = s.s.Programs()
-	case *PCSetSim:
-		spec = s.s.Spec()
-		init, si = s.s.Programs()
-	default:
+	p := compiledOf(e)
+	if p == nil {
 		return nil, fmt.Errorf("udsim: engine %s has no generated source to validate", e.EngineName())
 	}
+	spec := p.s.Spec()
+	init, si := p.s.Programs()
 	units := []ir.Source{{Name: "initvec", Prog: init}, {Name: "simvec", Prog: si}}
 	goSrc, cSrc, err := validate.Sources("gensim", units)
 	if err != nil {
