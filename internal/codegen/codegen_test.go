@@ -300,11 +300,10 @@ func TestEmitChecked(t *testing.T) {
 
 	// A corrupted spec refuses to emit.
 	spec := par.Spec()
-	bad := *spec.Sim
-	bad.Code = append([]program.Instr(nil), spec.Sim.Code...)
+	bad := spec.Sim.Clone()
 	bad.Code[0].Op = 200
-	spec.Sim = &bad
-	units[1].Prog = &bad
+	spec.Sim = bad
+	units[1].Prog = bad
 	if _, err := EmitChecked(io.Discard, Go, "gen", units, spec, verify.Options{}); err == nil {
 		t.Fatal("EmitChecked emitted code from a structurally invalid program")
 	}

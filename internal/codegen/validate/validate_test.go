@@ -134,9 +134,7 @@ func TestCertificateTamperDetected(t *testing.T) {
 func mutateSim(units []ir.Source, f func(p *program.Program)) []ir.Source {
 	out := make([]ir.Source, len(units))
 	for i, u := range units {
-		p := *u.Prog
-		p.Code = append([]program.Instr(nil), u.Prog.Code...)
-		out[i] = ir.Source{Name: u.Name, Prog: &p}
+		out[i] = ir.Source{Name: u.Name, Prog: u.Prog.Clone()}
 	}
 	f(out[len(out)-1].Prog)
 	return out

@@ -14,8 +14,8 @@
 // A technique package (parsim, pcset) contributes its compiler and the
 // layout hooks of the Technique interface. Every hook runs O(1) times
 // per vector; the Core never calls through the interface per net or
-// per instruction, so the dispatch loop (program.Run) stays the whole
-// per-vector cost.
+// per instruction, so the programs' lowered kernels (program.Run) stay
+// the whole per-vector cost.
 package engine
 
 import (
@@ -129,7 +129,8 @@ type Core struct {
 	// vector-batch blocks feed one set of counters.
 	obs *obs.Observer
 
-	ref *refsim.Evaluator // lazily built zero-delay oracle for ResetConsistent
+	ref   *refsim.Evaluator // lazily built zero-delay oracle for ResetConsistent
+	zeros []bool            // ResetConsistent(nil)'s all-zeros input vector
 
 	// Guarded execution (guard.go): fault injector and watchdog budgets
 	// forwarded to the sharded engine, consulted only on the ctx paths.
@@ -160,7 +161,16 @@ func New(cfg Config, tech Technique) *Core {
 		slot, mask := tech.FinalSlot(circuit.NetID(i))
 		c.fslot[i], c.fbit[i] = int32(slot), uint8(bits.TrailingZeros64(mask))
 	}
+	c.lower()
 	return c
+}
+
+// lower builds the programs' superinstruction kernels now, at compile
+// time, so the first vector does not pay for it and every Clone shares
+// them.
+func (c *Core) lower() {
+	c.init.Kernel()
+	c.sim.Kernel()
 }
 
 // Name returns the technique label ("parallel", "pcset").
@@ -222,7 +232,10 @@ func (c *Core) Final(n circuit.NetID) bool { return c.st[c.fslot[n]]>>c.fbit[n]&
 // for the given input assignment (nil = all zeros).
 func (c *Core) ResetConsistent(inputs []bool) error {
 	if inputs == nil {
-		inputs = make([]bool, len(c.c.Inputs))
+		if c.zeros == nil {
+			c.zeros = make([]bool, len(c.c.Inputs))
+		}
+		inputs = c.zeros
 	}
 	if c.ref == nil {
 		var err error

@@ -195,6 +195,28 @@ func TestCoreContract(t *testing.T) {
 				t.Fatalf("shared observer counted %d vectors, want %d", got, want)
 			}
 		}},
+		{"ClonesShareKernels", func(t *testing.T, f *fixture) {
+			// Serve pool members and vector-batch blocks are clones: they
+			// run the template's lowered kernels and never lower again.
+			e := f.fresh(t)
+			init, sim := e.Programs()
+			ik, sk := init.Kernel(), sim.Kernel()
+			cl := e.Clone()
+			if ci, cs := cl.Programs(); ci != init || cs != sim {
+				t.Fatal("clone does not share its template's programs")
+			}
+			if _, err := e.ConfigureExec(shard.VectorBatch, 2); err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			if err := e.ApplyStream(f.vecs); err != nil {
+				t.Fatal(err)
+			}
+			apply(t, cl, f.vecs)
+			if init.Kernel() != ik || sim.Kernel() != sk {
+				t.Fatal("running clones lowered the programs again")
+			}
+		}},
 		{"CloseRevertsToSequential", func(t *testing.T, f *fixture) {
 			e := f.fresh(t)
 			got, err := e.ConfigureExec(shard.Sharded, 2)
@@ -280,6 +302,28 @@ func TestCoreContract(t *testing.T) {
 			for _, tc := range cases {
 				t.Run(name+"/"+tech.name+"/"+tc.name, func(t *testing.T) { tc.run(t, f) })
 			}
+		}
+	}
+}
+
+// TestResetConsistentNoAlloc: serve resets a pooled engine to the
+// all-zeros state before every batch, so ResetConsistent(nil) must reuse
+// one zero vector (and the reference evaluator) instead of allocating.
+func TestResetConsistentNoAlloc(t *testing.T) {
+	c, err := gen.ISCAS85("c432")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tech := range techniques {
+		e, err := tech.compile(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.ResetConsistent(nil); err != nil { // builds the evaluator
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(20, func() { _ = e.ResetConsistent(nil) }); n != 0 {
+			t.Errorf("%s: ResetConsistent(nil) allocates %v times per call", tech.name, n)
 		}
 	}
 }

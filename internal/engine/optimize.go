@@ -38,6 +38,7 @@ func (c *Core) EliminateDeadStores() (int, error) {
 		restore()
 		return 0, fmt.Errorf("%s: dead-store elimination rejected by verifier: %w", c.name, rep.Err())
 	}
+	c.lower()
 
 	// Vector-batch clones share the old programs; drop them so ApplyStream
 	// rebuilds from the stripped ones.

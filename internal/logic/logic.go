@@ -179,11 +179,16 @@ func (t GateType) EvalWord(inputs []uint64) uint64 {
 
 // EvalBool evaluates the gate function on single two-valued inputs.
 func (t GateType) EvalBool(inputs []bool) bool {
-	words := make([]uint64, len(inputs))
-	for i, b := range inputs {
+	// A stack buffer covers the common fan-ins, so the zero-delay
+	// oracle's per-gate evaluation does not allocate.
+	var buf [16]uint64
+	words := buf[:0]
+	for _, b := range inputs {
+		var w uint64
 		if b {
-			words[i] = 1
+			w = 1
 		}
+		words = append(words, w)
 	}
 	return t.EvalWord(words)&1 == 1
 }

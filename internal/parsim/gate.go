@@ -595,14 +595,14 @@ func (g *gater) Levels() (vectors, run, skipped int64) {
 
 // RunInit executes the init program minus the instructions that
 // initialize skipped nets, as coalesced sub-slices of the original
-// stream — no instruction copying, and when every group is active a
-// single Exec of the whole program.
+// stream — no instruction copying, and when every group is active the
+// whole program's kernel.
 func (g *gater) RunInit() {
 	s := g.s
 	initProg, _ := s.Programs()
 	code, st := initProg.Code, s.State()
 	if g.allActive {
-		program.Exec(code, st, s.cfg.WordBits)
+		initProg.Run(st)
 		return
 	}
 	open, prevEnd := int32(-1), int32(0)

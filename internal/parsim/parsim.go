@@ -68,9 +68,17 @@ type Sim struct {
 	scratchStart int32 // first non-field (temporary/scratch) state slot
 
 	// Views into the Core's auxiliary state, so checkpoints and clones
-	// carry them with the arena.
+	// carry them with the arena. prevFinal is current only for the nets
+	// BeginVector captures.
 	prevFinal []bool // final values before the last vector (for t < alignment reads)
 	prevPI    []bool // previous primary-input values (for negative-alignment PI bits)
+
+	// capture lists the nets whose previous final only prevFinal can
+	// answer: primary inputs (their fields take the new value in every
+	// bit) and nets aligned above time 0 (ValueAt reads prevFinal for
+	// t < alignment). Every other field's bit 0 holds its previous final
+	// after the vector, at time alignment ≤ 0.
+	capture []circuit.NetID
 }
 
 // Compile builds the parallel-technique program for a combinational
@@ -152,6 +160,11 @@ func Compile(c *circuit.Circuit, cfg Config) (*Sim, error) {
 		Aux:          norm.NumNets() + len(norm.Inputs),
 	}, s)
 	s.bindAux()
+	for i := range norm.Nets {
+		if norm.Nets[i].IsInput || s.alignOf[i] > 0 {
+			s.capture = append(s.capture, circuit.NetID(i))
+		}
+	}
 	if cfg.Verify {
 		if err := verify.Check(s.Spec(), verify.Options{}).Err(); err != nil {
 			return nil, fmt.Errorf("parsim: %w", err)
@@ -236,10 +249,18 @@ func (s *Sim) simProg() *program.Program {
 }
 
 // BeginVector implements engine.Technique: capture the previous finals
-// before the init program overwrites the fields.
+// that have a reader before the init program overwrites the fields —
+// the capture list's nets for ValueAt, and every net while an activity
+// gate is attached (Flatten rewrites skipped fields from them).
 func (s *Sim) BeginVector() {
-	for i := range s.prevFinal {
-		s.prevFinal[i] = s.Final(circuit.NetID(i))
+	if s.Gate() != nil {
+		for i := range s.prevFinal {
+			s.prevFinal[i] = s.Final(circuit.NetID(i))
+		}
+		return
+	}
+	for _, n := range s.capture {
+		s.prevFinal[n] = s.Final(n)
 	}
 }
 
@@ -330,7 +351,12 @@ func (s *Sim) InputField(i int) (base, words int32, split int) {
 func (s *Sim) ValueAt(n circuit.NetID, t int) bool {
 	idx := t - s.alignOf[n]
 	if idx < 0 {
-		return s.prevFinal[n]
+		if s.alignOf[n] > 0 || s.c.Nets[n].IsInput {
+			return s.prevFinal[n]
+		}
+		// Bit 0 is time alignment ≤ 0, where the net still holds the
+		// previous vector's final value.
+		idx = 0
 	}
 	if idx >= s.width[n] {
 		idx = s.width[n] - 1

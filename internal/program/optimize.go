@@ -21,13 +21,13 @@ func Strip(p *Program, dead []bool) (*Program, int) {
 	if removed == 0 {
 		return p, 0
 	}
-	q := *p
-	q.Code = make([]Instr, 0, len(p.Code)-removed)
+	q := &Program{WordBits: p.WordBits, NumVars: p.NumVars, VarNames: p.VarNames,
+		Code: make([]Instr, 0, len(p.Code)-removed)}
 	for i := range p.Code {
 		if i < len(dead) && dead[i] {
 			continue
 		}
 		q.Code = append(q.Code, p.Code[i])
 	}
-	return &q, removed
+	return q, removed
 }

@@ -6,10 +6,20 @@
 // machine code itself but the execution model: no event queue, no tests or
 // branches, one fixed operation per generated statement. This package
 // reproduces that model with a flat, branch-free instruction stream over a
-// dense array of machine words, executed by a tight dispatch loop —
-// the threaded-code technique the paper itself cites for the tortle.c
-// simulator. The companion package codegen emits the equivalent C and Go
-// source text for inspection and line-count experiments.
+// dense array of machine words (Program.Code) — the threaded-code
+// technique the paper itself cites for the tortle.c simulator. The
+// companion package codegen emits the equivalent C and Go source text for
+// inspection and line-count experiments.
+//
+// Two executors run the stream. Exec dispatches one instruction at a
+// time; it is the reference semantics, and it runs the sub-slices of a
+// program that the sharded and activity-gated strategies execute.
+// Program.Run executes the program's Kernel: Code lowered once into
+// superinstructions, so that a multi-word field operation, a carry chain,
+// a gate with the shift that consumes its result, or an init bit with the
+// zeroing that follows it costs one dispatch. Run leaves the state exactly
+// as Exec over Code would; everything that counts instructions counts
+// Code.
 //
 // All instructions operate on logical words of configurable width W
 // (8, 16, 32 or 64 bits) stored in uint64 slots; W=32 matches the paper's
@@ -19,6 +29,7 @@ package program
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 )
 
 // Op is an instruction opcode.
@@ -172,6 +183,8 @@ type Program struct {
 	// VarNames optionally names state words for disassembly and source
 	// emission; may be nil or shorter than NumVars.
 	VarNames []string
+
+	kern atomic.Pointer[Kernel] // lowered Code (see Kernel)
 }
 
 // Mask returns the logical word mask (W low bits set).
@@ -229,15 +242,18 @@ func (p *Program) Validate() error {
 }
 
 // Run executes the program over the given state, which must have at least
-// NumVars words.
-func (p *Program) Run(st []uint64) { Exec(p.Code, st, p.WordBits) }
+// NumVars words. It runs the lowered kernel (see Kernel), which leaves st
+// exactly as Exec over Code would.
+func (p *Program) Run(st []uint64) { p.Kernel().run(st) }
 
 // Exec executes a straight-line instruction slice over st with the given
-// logical word width. It is the shared hot loop behind Program.Run and the
-// sharded multicore engine (package shard), which executes per-level,
-// per-worker sub-slices of a program's code. The loop is deliberately a
-// single switch over a flat slice: no per-instruction allocation, no
-// bounds rechecking beyond the slice accesses.
+// logical word width, one instruction per dispatch. It is the reference
+// semantics the lowered kernel behind Program.Run must reproduce, and it
+// executes the sub-slices of a program's code that the sharded engine
+// (package shard) and the activity-gated init (package parsim) run. The
+// loop is deliberately a single switch over a flat slice: no
+// per-instruction allocation, no bounds rechecking beyond the slice
+// accesses.
 func Exec(code []Instr, st []uint64, wordBits int) {
 	mask := ^uint64(0)
 	if wordBits < 64 {

@@ -567,17 +567,20 @@ func (s *Server) buildProgram(key string, rc *regCircuit, techName string, bo Ba
 		}
 		p.pool <- e
 	}
-	// Byte estimate: shared compiled code once, private mutable state
-	// per pool member (template included), plus the canonical netlist
-	// text held by the registry entry.
-	code := 0
-	if in, ok := tmpl.(udsim.Introspector); ok {
-		code = in.CodeSize()
-	}
-	p.bytes = int64(code)*16 +
-		int64(s.cfg.PoolBound+1)*int64(len(rc.circ.Nets))*16 +
-		int64(len(rc.bench))
+	p.bytes = programBytes(tmpl, s.cfg.PoolBound, len(rc.circ.Nets), len(rc.bench))
 	return p, nil
+}
+
+// programBytes is a cache entry's byte estimate: the compiled programs
+// once (their generated code and lowered kernels, shared by every pool
+// member), private mutable state per pool member (template included),
+// plus the canonical netlist text held by the registry entry.
+func programBytes(tmpl udsim.Engine, pool, nets, bench int) int64 {
+	code := 0
+	if init, sim, ok := udsim.Programs(tmpl); ok {
+		code = init.MemBytes() + sim.MemBytes()
+	}
+	return int64(code) + int64(pool+1)*int64(nets)*16 + int64(bench)
 }
 
 // runBatch simulates the vectors on a checked-out engine: every batch

@@ -42,9 +42,7 @@ func cloneSpec(s *verify.Spec) *verify.Spec {
 		if p == nil {
 			return nil
 		}
-		q := *p
-		q.Code = append([]program.Instr(nil), p.Code...)
-		return &q
+		return p.Clone()
 	}
 	c.Init = cp(s.Init)
 	c.Sim = cp(s.Sim)
