@@ -224,6 +224,41 @@ func BenchmarkObservedStream(b *testing.B) {
 	}
 }
 
+// BenchmarkPCSetStream times the sequential vector stream under the
+// PC-set technique, whose simulation program the kernel runs as
+// level-grouped run lists. One op is a whole 256-vector stream; the
+// steady state must not allocate (run with -benchmem and expect 0
+// allocs/op).
+func BenchmarkPCSetStream(b *testing.B) {
+	for _, ckt := range []string{"c1908", "c6288", "c7552"} {
+		b.Run(ckt, func(b *testing.B) {
+			c, err := ISCAS85(ckt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			e, err := openPCSetSim(c, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer e.Close()
+			if err := e.ResetConsistent(nil); err != nil {
+				b.Fatal(err)
+			}
+			vecs := vectors.Random(benchVecPool, len(e.Circuit().Inputs), 1990)
+			if err := e.ApplyStream(vecs.Bits); err != nil { // warm-up
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := e.ApplyStream(vecs.Bits); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkParallelExec times the multicore execution strategies on the
 // vector-stream path. One op is a whole 256-vector stream. The steady
 // state must not allocate: run with -benchmem and expect 0 allocs/op for

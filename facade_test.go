@@ -59,6 +59,11 @@ func TestFacadeAccessors(t *testing.T) {
 	if _, ok := ps.LaneValueAt(cid, ps.Depth(), 63); !ok {
 		t.Error("lane value unobservable at depth")
 	}
+	for _, lane := range []int{-1, 64} {
+		if _, ok := ps.LaneValueAt(cid, ps.Depth(), lane); ok {
+			t.Errorf("nonexistent lane %d reported observable", lane)
+		}
+	}
 
 	ev, err := NewEventDriven(c, true)
 	if err != nil {

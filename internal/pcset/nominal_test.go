@@ -1,11 +1,13 @@
 package pcset
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"udsim/internal/circuit"
 	"udsim/internal/ckttest"
+	"udsim/internal/gen"
 	"udsim/internal/logic"
 	"udsim/internal/ndsim"
 	"udsim/internal/vectors"
@@ -23,21 +25,38 @@ func delaysFor(c *circuit.Circuit, dm ndsim.DelayModel) []int {
 // TestNominalDelayMatchesEventSim is the headline extension check: the
 // compiled nominal-delay PC-set program produces, at every net and every
 // time step, exactly the waveform of the nominal-delay event-driven
-// simulator, for several delay models and random circuits.
+// simulator, for several delay models and random circuits, and for c880
+// under fanin delays. Each program is also in level-grouped order
+// (checkLevelized).
 func TestNominalDelayMatchesEventSim(t *testing.T) {
+	type delayCase struct {
+		name string
+		norm *circuit.Circuit
+		dm   ndsim.DelayModel
+		vecs int
+		seed int64
+	}
+	var cases []delayCase
 	r := rand.New(rand.NewSource(23))
 	models := []ndsim.DelayModel{ndsim.UnitDelays, ndsim.FaninDelays, ndsim.TypeDelays}
 	for trial := 0; trial < 9; trial++ {
-		dm := models[trial%len(models)]
-		raw := ckttest.Random(r, 30, 4)
-		norm := raw.Normalize()
-		delays := delaysFor(norm, dm)
+		cases = append(cases, delayCase{fmt.Sprintf("trial %d", trial), ckttest.Random(r, 30, 4).Normalize(), models[trial%len(models)], 8, int64(trial)})
+	}
+	c880, err := gen.ISCAS85("c880")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases, delayCase{"c880", c880.Normalize(), ndsim.FaninDelays, 3, 37})
 
+	for _, tc := range cases {
+		norm := tc.norm
+		delays := delaysFor(norm, tc.dm)
 		s, err := CompileWithDelays(norm, allNets(norm), delays)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev, err := ndsim.New(norm, dm)
+		checkLevelized(t, s)
+		ev, err := ndsim.New(norm, tc.dm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +67,7 @@ func TestNominalDelayMatchesEventSim(t *testing.T) {
 			t.Fatal(err)
 		}
 		depth := s.Depth() // weighted depth: max path-delay sum
-		vecs := vectors.Random(8, len(norm.Inputs), int64(trial)).Bits
+		vecs := vectors.Random(tc.vecs, len(norm.Inputs), tc.seed).Bits
 		for _, vec := range vecs {
 			before := make([]logic.V3, norm.NumNets())
 			for i := range before {
@@ -71,8 +90,8 @@ func TestNominalDelayMatchesEventSim(t *testing.T) {
 					}
 					want := h[tm] == logic.V1
 					if got != want {
-						t.Fatalf("trial %d net %s t=%d: pcset %v, ndsim %v (delays %v)",
-							trial, norm.Nets[n].Name, tm, got, want, delays)
+						t.Fatalf("%s net %s t=%d: pcset %v, ndsim %v (delays %v)",
+							tc.name, norm.Nets[n].Name, tm, got, want, delays)
 					}
 				}
 			}

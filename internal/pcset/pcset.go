@@ -8,6 +8,12 @@
 // strictly-below rule (Fig. 4). The code executes once per input vector
 // and produces the complete unit-delay history of the vector.
 //
+// The code is levelized, as in the paper, and within a level grouped by
+// gate class (type and arity) and emitted one fold stage at a time
+// across the class: the gates of a level read only values of lower
+// levels, so their order is free, and grouping makes each class's stage
+// one run list for the program kernel (package program).
+//
 // Because every variable is a machine word of independent bit lanes, the
 // generated code is amenable to data-parallel simulation of up to 64 input
 // vectors at once (§3 notes this as the PC-set method's advantage over the
@@ -15,7 +21,10 @@
 package pcset
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"strconv"
 
 	"udsim/internal/circuit"
 	"udsim/internal/engine"
@@ -79,18 +88,16 @@ func CompileWithDelays(c *circuit.Circuit, monitor []circuit.NetID, gateDelay []
 
 	// Allocate one variable per PC element of every net.
 	vars := make([][]int32, c.NumNets())
-	var names []string
 	next := int32(0)
 	for i := range c.Nets {
-		pc := a.NetPC[i]
-		vs := make([]int32, len(pc))
-		for j, t := range pc {
+		vs := make([]int32, len(a.NetPC[i]))
+		for j := range vs {
 			vs[j] = next
-			names = append(names, fmt.Sprintf("%s_%d", c.Nets[i].Name, t))
 			next++
 		}
 		vars[i] = vs
 	}
+	names := varNames(c, a, int(next))
 
 	// Initialization code: for every net with an inserted zero, move the
 	// final value (the variable of the maximum PC element) into the
@@ -106,27 +113,7 @@ func CompileWithDelays(c *circuit.Circuit, monitor []circuit.NetID, gateDelay []
 		})
 	}
 
-	// Simulation code: gates in levelized order, one simulation per gate
-	// PC element, operands selected by the strictly-below rule.
-	var simCode []program.Instr
-	srcs := make([]int32, 0, 8)
-	for _, gid := range a.LevelOrder {
-		g := c.Gate(gid)
-		out := g.Output
-		d := a.GateDelay[gid]
-		for _, t := range a.GatePC[gid] {
-			dst := varAt(a, vars, out, t)
-			srcs = srcs[:0]
-			for _, in := range g.Inputs {
-				// The output at time t is the gate function of its
-				// inputs at time t−d; each input's value then is held
-				// by its largest PC element ≤ t−d.
-				ot := a.OperandAt(in, t-d)
-				srcs = append(srcs, varAt(a, vars, in, ot))
-			}
-			simCode = program.EmitGateEval(simCode, g.Type, dst, srcs)
-		}
-	}
+	simCode := emitSim(c, a, vars)
 
 	mk := func(code []program.Instr) *program.Program {
 		return &program.Program{WordBits: 64, NumVars: int(next), Code: code, VarNames: names}
@@ -149,6 +136,100 @@ func CompileWithDelays(c *circuit.Circuit, monitor []circuit.NetID, gateDelay []
 		ScratchStart: next,
 	}, s)
 	return s, nil
+}
+
+// varNames names variable k "net_t" for the net and PC element it
+// holds. The names are cut from one shared string rather than formatted
+// one by one: one allocation instead of one per variable.
+func varNames(c *circuit.Circuit, a *levelize.Analysis, n int) []string {
+	var buf []byte
+	ends := make([]int, 0, n)
+	for i := range c.Nets {
+		for _, t := range a.NetPC[i] {
+			buf = append(buf, c.Nets[i].Name...)
+			buf = append(buf, '_')
+			buf = strconv.AppendInt(buf, int64(t), 10)
+			ends = append(ends, len(buf))
+		}
+	}
+	all := string(buf)
+	names := make([]string, n)
+	start := 0
+	for k, end := range ends {
+		names[k] = all[start:end]
+		start = end
+	}
+	return names
+}
+
+// emitSim generates the simulation code: one gate simulation per gate PC
+// element, operands selected by the strictly-below rule.
+//
+// The code is level-major: every gate of level L reads only variables of
+// nets of lower levels (each gate delay is at least one), so the gates of
+// one level are independent and run in any order. Within a level the
+// gates are grouped by class (type and arity), and each class is emitted
+// stage by stage (program.GateStage) across the whole group: the first
+// fold stage of every gate, then the second, and so on. Each gate-stage
+// is one run over the gate's PC elements in ascending time, so a class's
+// stage is a sequence of same-opcode runs that the program kernel
+// executes as one run list.
+func emitSim(c *circuit.Circuit, a *levelize.Analysis, vars [][]int32) []program.Instr {
+	order := classOrder(c, a)
+	var code []program.Instr
+	// opnd holds, per gate of the group and per PC element, the
+	// destination followed by the operand of every input.
+	var opnd []int32
+	for lo := 0; lo < len(order); {
+		g0 := c.Gate(order[lo])
+		hi := lo + 1
+		for hi < len(order) && sameClass(c, a, order[hi], order[lo]) {
+			hi++
+		}
+		width := 1 + len(g0.Inputs)
+		opnd = opnd[:0]
+		for _, gid := range order[lo:hi] {
+			g := c.Gate(gid)
+			d := a.GateDelay[gid]
+			for _, t := range a.GatePC[gid] {
+				opnd = append(opnd, varAt(a, vars, g.Output, t))
+				for _, in := range g.Inputs {
+					// The output at time t is the gate function of its
+					// inputs at time t−d; each input's value then is held
+					// by its largest PC element ≤ t−d.
+					opnd = append(opnd, varAt(a, vars, in, a.OperandAt(in, t-d)))
+				}
+			}
+		}
+		for s := range program.GateStages(g0.Type, len(g0.Inputs)) {
+			for k := 0; k < len(opnd); k += width {
+				code = append(code, program.GateStage(g0.Type, s, opnd[k], opnd[k+1:k+width]))
+			}
+		}
+		lo = hi
+	}
+	return code
+}
+
+// sameClass reports whether gates g and h share a level and a class
+// (type and arity): gates of one class have the same fold stages.
+func sameClass(c *circuit.Circuit, a *levelize.Analysis, g, h circuit.GateID) bool {
+	gg, hg := c.Gate(g), c.Gate(h)
+	return a.GateLevel[g] == a.GateLevel[h] && gg.Type == hg.Type && len(gg.Inputs) == len(hg.Inputs)
+}
+
+// classOrder returns a.LevelOrder with the gates of each level grouped
+// by class: a stable sort by (level, type, arity). LevelOrder is sorted
+// by level, so no gate leaves its level.
+func classOrder(c *circuit.Circuit, a *levelize.Analysis) []circuit.GateID {
+	order := slices.Clone(a.LevelOrder)
+	slices.SortStableFunc(order, func(g, h circuit.GateID) int {
+		gg, hg := c.Gate(g), c.Gate(h)
+		return cmp.Or(cmp.Compare(a.GateLevel[g], a.GateLevel[h]),
+			cmp.Compare(gg.Type, hg.Type),
+			cmp.Compare(len(gg.Inputs), len(hg.Inputs)))
+	})
+	return order
 }
 
 // CompileChecked is Compile followed by the static analyzer (package
@@ -321,8 +402,12 @@ func (s *Sim) ApplyLanes(packed []uint64) error {
 // no zero inserted (it was not monitored).
 func (s *Sim) ValueAt(id circuit.NetID, t int) (bool, bool) { return s.LaneValueAt(id, t, 0) }
 
-// LaneValueAt is ValueAt for a specific lane.
+// LaneValueAt is ValueAt for a specific lane. A lane outside [0, 64)
+// does not exist and is never observable.
 func (s *Sim) LaneValueAt(id circuit.NetID, t, lane int) (bool, bool) {
+	if lane < 0 || lane >= 64 {
+		return false, false
+	}
 	pc := s.a.NetPC[id]
 	// Largest element ≤ t.
 	lo, hi := 0, len(pc)

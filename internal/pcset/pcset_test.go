@@ -206,6 +206,34 @@ func TestDataParallelLanesMatchScalarStreams(t *testing.T) {
 	}
 }
 
+// TestLaneValueAtOutOfRange: a lane outside [0, 64) does not exist, so
+// it is never observable, whatever the net's history.
+func TestLaneValueAtOutOfRange(t *testing.T) {
+	c := ckttest.Fig4()
+	s, err := Compile(c, allNets(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ResetConsistent(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ApplyLanes([]uint64{^uint64(0), ^uint64(0), ^uint64(0)}); err != nil {
+		t.Fatal(err)
+	}
+	for n := range s.Circuit().Nets {
+		for tm := 0; tm <= s.Depth(); tm++ {
+			if v, ok := s.LaneValueAt(circuit.NetID(n), tm, 63); !ok {
+				t.Fatalf("net %d t=%d: lane 63 unobservable (%v)", n, tm, v)
+			}
+			for _, lane := range []int{-1, 64} {
+				if v, ok := s.LaneValueAt(circuit.NetID(n), tm, lane); ok || v {
+					t.Fatalf("net %d t=%d lane %d: got (%v, %v), want (false, false)", n, tm, lane, v, ok)
+				}
+			}
+		}
+	}
+}
+
 func TestXorGlitchHistory(t *testing.T) {
 	// XOR of a signal with a delayed copy of itself pulses on every input
 	// change; the PC-set history must show the pulse.

@@ -5,29 +5,38 @@ import "unsafe"
 // Kernel is a program's code lowered once into superinstructions, the
 // stream Program.Run executes. Lowering merges, in one pass over Code:
 //
-//   - a run of one word operation over consecutive slots (every field
-//     word of a multi-word parallel-technique gate, or consecutive
-//     PC-set time slots) into one n-word operation;
+//   - a maximal sequence of runs (units) of one gate operation (and …
+//     xnor, not, move), each unit the operation over n ≥ 1 consecutive
+//     slots (every field word of a multi-word parallel-technique gate, or
+//     consecutive PC-set time slots), into one run list: the units live
+//     as (dst, a, b, n) records in the kernel's operand array, and one
+//     dispatch executes them in order. A lone multi-word run is a
+//     one-unit list, a lone single word a single instruction. A level's
+//     gate class in a PC-set program is one list per fold stage;
+//   - a run of ormove, const0 or const1 over consecutive slots into one
+//     n-word operation;
 //   - the parallel technique's carry chain (shlor Dst+k, A+k, A+k−1)
 //     into one operation;
 //   - a gate operation (a run or a single word) with the shlor chain
 //     that reads its temporaries into one operation that still writes
-//     the temporaries;
+//     the temporaries; a run list stops before such a run;
 //   - the init program's bit extraction with the const0 run that
 //     follows it into one operation.
 //
-// A merge is made only where no element of the run reads a slot that an
+// A merge is made only where no element of a run reads a slot that an
 // earlier element of the same run wrote, so every superinstruction may
 // keep values in registers and still leaves the state array exactly as
-// Exec over the original instructions would. The generated program is
-// unchanged: instruction counts, verification and code generation all
-// see Code.
+// Exec over the original instructions would. A run list's units need no
+// such condition between them: each executes completely, in order, as
+// the instructions it replaces. The generated program is unchanged:
+// instruction counts, verification and code generation all see Code.
 type Kernel struct {
-	src  *Instr // &Code[0] when lowered (nil for empty code)
-	n    int    // len(Code) when lowered
-	code []kinstr
-	mask uint64
-	w    uint
+	src   *Instr // &Code[0] when lowered (nil for empty code)
+	n     int    // len(Code) when lowered
+	code  []kinstr
+	units []kunit // the run lists' units, each list a contiguous range
+	mask  uint64
+	w     uint
 }
 
 // kop is a superinstruction opcode.
@@ -58,17 +67,20 @@ const (
 	kFillLowN
 
 	// n-word runs: element k is the word operation on Dst+k, A+k, B+k.
-	kAndN
-	kOrN
-	kXorN
-	kNandN
-	kNorN
-	kXnorN
-	kNotN
-	kMoveN
 	kOrMoveN
 	kConst0N
 	kConst1N
+
+	// Run lists: units[A : A+N] executed in order, unit u the n-word
+	// run of the operation over u.dst+k, u.a+k, u.b+k for k < u.n.
+	kAndL
+	kOrL
+	kXorL
+	kNandL
+	kNorL
+	kXnorL
+	kNotL
+	kMoveL
 
 	// kChain is a carry chain: element k is shlor Dst+k, A+k, A+k−1,
 	// with carry word C (None: no carry) for element 0.
@@ -115,14 +127,24 @@ type kinstr struct {
 	t, c int32
 }
 
-// maxRun caps a run at what kinstr.n holds.
+// kunit is one unit of a run list: an n-word run (n ≥ 1) of the list's
+// word operation, stored as an int32 (dst, a, b, n) record.
+type kunit struct {
+	dst, a, b, n int32
+}
+
+// maxRun caps a run, and a run list's unit count, at what kinstr.n
+// holds.
 const maxRun = 1<<16 - 1
 
 // Ops returns the number of superinstructions.
 func (k *Kernel) Ops() int { return len(k.code) }
 
-// Bytes returns the memory the kernel's instruction stream occupies.
-func (k *Kernel) Bytes() int { return cap(k.code) * int(unsafe.Sizeof(kinstr{})) }
+// Bytes returns the memory the kernel occupies: its instruction stream
+// and the run lists' operand array.
+func (k *Kernel) Bytes() int {
+	return cap(k.code)*int(unsafe.Sizeof(kinstr{})) + cap(k.units)*int(unsafe.Sizeof(kunit{}))
+}
 
 // lowers reports whether k was lowered from code (the same backing array
 // and length): a program whose Code slice has been replaced is lowered
@@ -173,12 +195,14 @@ func (p *Program) MemBytes() int {
 // inRange reports whether slot s lies in [lo, lo+n).
 func inRange(s, lo int32, n int) bool { return s >= lo && int64(s) < int64(lo)+int64(n) }
 
-// runOps maps the word operations that merge into n-word runs.
-var runOps = [numOps]kop{
-	OpAnd: kAndN, OpOr: kOrN, OpXor: kXorN, OpNand: kNandN, OpNor: kNorN,
-	OpXnor: kXnorN, OpNot: kNotN, OpMove: kMoveN, OpOrMove: kOrMoveN,
-	OpConst0: kConst0N, OpConst1: kConst1N,
+// listOps maps the word operations that merge into run lists.
+var listOps = [numOps]kop{
+	OpAnd: kAndL, OpOr: kOrL, OpXor: kXorL, OpNand: kNandL, OpNor: kNorL,
+	OpXnor: kXnorL, OpNot: kNotL, OpMove: kMoveL,
 }
+
+// runOps maps the word operations that merge into n-word runs.
+var runOps = [numOps]kop{OpOrMove: kOrMoveN, OpConst0: kConst0N, OpConst1: kConst1N}
 
 // shlOps maps the gate operations that fuse with a following chain.
 var shlOps = [numOps]kop{
@@ -186,7 +210,8 @@ var shlOps = [numOps]kop{
 	OpNor: kNorShl, OpXnor: kXnorShl, OpNot: kNotShl, OpMove: kMoveShl,
 }
 
-// runs reports whether op merges into n-word runs. Binary operations
+// runs reports whether op merges into runs (run lists' units or n-word
+// runs). Binary operations
 // need a slot operand B (Exec faults on B == None; lowering leaves such
 // an instruction single so the kernel faults the same way).
 func runs(in *Instr) bool {
@@ -283,6 +308,35 @@ func fusesChain(g []Instr, c []Instr, wordBits int) bool {
 	return true
 }
 
+// fusesAt reports whether the n-element word run at code[i] fuses with
+// the carry chain that follows it.
+func fusesAt(code []Instr, i, n, wordBits int) bool {
+	return shlOps[code[i].Op] != 0 && i+n < len(code) && fusesChain(code[i:i+n], code[i+n:], wordBits)
+}
+
+// listRun appends to units the run list that starts with the n-element
+// run at code[i]: that run and every following run of the same
+// operation, up to one that fuses with the carry chain after it. It
+// returns the number of instructions the list covers. Units execute in
+// order, each as the sequential instructions it replaces, so no alias
+// condition holds between units; within a unit wordRun's does.
+func listRun(code []Instr, i, n, wordBits int, units []kunit) (int, []kunit) {
+	op, first := code[i].Op, len(units)
+	j := i
+	for {
+		in := &code[j]
+		units = append(units, kunit{dst: in.Dst, a: in.A, b: in.B, n: int32(n)})
+		j += n
+		if j == len(code) || code[j].Op != op || !runs(&code[j]) || len(units)-first == maxRun {
+			break
+		}
+		if n = wordRun(code[j:]); fusesAt(code, j, n, wordBits) {
+			break
+		}
+	}
+	return j - i, units
+}
+
 // lower builds the kernel for code at the given word width.
 func lower(code []Instr, wordBits int) *Kernel {
 	k := &Kernel{n: len(code), w: uint(wordBits), mask: ^uint64(0)}
@@ -293,6 +347,7 @@ func lower(code []Instr, wordBits int) *Kernel {
 		k.src = &code[0]
 	}
 	out := make([]kinstr, 0, len(code)/2+1)
+	var units []kunit
 	for i := 0; i < len(code); {
 		in := &code[i]
 		switch {
@@ -313,14 +368,25 @@ func lower(code []Instr, wordBits int) *Kernel {
 			}
 		case runs(in):
 			n := wordRun(code[i:])
-			if sop := shlOps[in.Op]; sop != 0 && i+n < len(code) && fusesChain(code[i:i+n], code[i+n:], wordBits) {
+			if fusesAt(code, i, n, wordBits) {
 				ch := &code[i+n]
+				sop := shlOps[in.Op]
 				if n == 1 {
 					sop += kAndShl1 - kAndShl
 				}
 				out = append(out, kinstr{op: sop, sh: ch.Sh, n: uint16(n), dst: ch.Dst, a: in.A, b: in.B, t: in.Dst, c: ch.B})
 				i += 2 * n
 				continue
+			}
+			if lop := listOps[in.Op]; lop != 0 {
+				first := len(units)
+				// A lone single word stays a single instruction.
+				if m, ext := listRun(code, i, n, wordBits, units); m > 1 {
+					units = ext
+					out = append(out, kinstr{op: lop, n: uint16(len(units) - first), a: int32(first)})
+					i += m
+					continue
+				}
 			}
 			if n > 1 {
 				out = append(out, kinstr{op: runOps[in.Op], n: uint16(n), dst: in.Dst, a: in.A, b: in.B})
@@ -334,6 +400,9 @@ func lower(code []Instr, wordBits int) *Kernel {
 	// Keep an exact-size copy: the kernel lives as long as the program,
 	// and Bytes reports what it holds.
 	k.code = append(make([]kinstr, 0, len(out)), out...)
+	if len(units) > 0 {
+		k.units = append(make([]kunit, 0, len(units)), units...)
+	}
 	return k
 }
 

@@ -3,7 +3,9 @@ package program
 // run executes the kernel over st. Every case is the sequential
 // semantics of the instructions it replaces (see Exec). The n-word runs
 // slice their operand ranges once, so their element loops carry no
-// per-word bounds checks. The multi-word chain and gate-plus-chain
+// per-word bounds checks; a run list does the same per unit, except for
+// single-word units (most of a PC-set program's), which it indexes
+// directly. The multi-word chain and gate-plus-chain
 // loops live in their own functions: there the register allocator
 // keeps a whole element in registers, where inline in this loop it
 // spilled them around the dispatch state (c6288's simulation program,
@@ -54,54 +56,6 @@ func (k *Kernel) run(st []uint64) {
 		case kFillLowN:
 			st[in.dst] = (0 - st[in.a]>>in.sh&1) & (^uint64(0) >> (64 - uint(in.b)))
 
-		case kAndN:
-			n := int(in.n)
-			d, a, b := st[in.dst:][:n], st[in.a:][:n], st[in.b:][:n]
-			for j := range d {
-				d[j] = a[j] & b[j]
-			}
-		case kOrN:
-			n := int(in.n)
-			d, a, b := st[in.dst:][:n], st[in.a:][:n], st[in.b:][:n]
-			for j := range d {
-				d[j] = a[j] | b[j]
-			}
-		case kXorN:
-			n := int(in.n)
-			d, a, b := st[in.dst:][:n], st[in.a:][:n], st[in.b:][:n]
-			for j := range d {
-				d[j] = a[j] ^ b[j]
-			}
-		case kNandN:
-			n := int(in.n)
-			d, a, b := st[in.dst:][:n], st[in.a:][:n], st[in.b:][:n]
-			for j := range d {
-				d[j] = mask &^ (a[j] & b[j])
-			}
-		case kNorN:
-			n := int(in.n)
-			d, a, b := st[in.dst:][:n], st[in.a:][:n], st[in.b:][:n]
-			for j := range d {
-				d[j] = mask &^ (a[j] | b[j])
-			}
-		case kXnorN:
-			n := int(in.n)
-			d, a, b := st[in.dst:][:n], st[in.a:][:n], st[in.b:][:n]
-			for j := range d {
-				d[j] = mask &^ (a[j] ^ b[j])
-			}
-		case kNotN:
-			n := int(in.n)
-			d, a := st[in.dst:][:n], st[in.a:][:n]
-			for j := range d {
-				d[j] = mask &^ a[j]
-			}
-		case kMoveN:
-			n := int(in.n)
-			d, a := st[in.dst:][:n], st[in.a:][:n]
-			for j := range d {
-				d[j] = a[j]
-			}
 		case kOrMoveN:
 			n := int(in.n)
 			d, a := st[in.dst:][:n], st[in.a:][:n]
@@ -114,6 +68,95 @@ func (k *Kernel) run(st []uint64) {
 			d := st[in.dst:][:in.n]
 			for j := range d {
 				d[j] = mask
+			}
+
+		case kAndL:
+			for _, u := range k.units[in.a:][:in.n] {
+				if u.n == 1 {
+					st[u.dst] = st[u.a] & st[u.b]
+					continue
+				}
+				d, a, b := st[u.dst:][:u.n], st[u.a:][:u.n], st[u.b:][:u.n]
+				for j := range d {
+					d[j] = a[j] & b[j]
+				}
+			}
+		case kOrL:
+			for _, u := range k.units[in.a:][:in.n] {
+				if u.n == 1 {
+					st[u.dst] = st[u.a] | st[u.b]
+					continue
+				}
+				d, a, b := st[u.dst:][:u.n], st[u.a:][:u.n], st[u.b:][:u.n]
+				for j := range d {
+					d[j] = a[j] | b[j]
+				}
+			}
+		case kXorL:
+			for _, u := range k.units[in.a:][:in.n] {
+				if u.n == 1 {
+					st[u.dst] = st[u.a] ^ st[u.b]
+					continue
+				}
+				d, a, b := st[u.dst:][:u.n], st[u.a:][:u.n], st[u.b:][:u.n]
+				for j := range d {
+					d[j] = a[j] ^ b[j]
+				}
+			}
+		case kNandL:
+			for _, u := range k.units[in.a:][:in.n] {
+				if u.n == 1 {
+					st[u.dst] = mask &^ (st[u.a] & st[u.b])
+					continue
+				}
+				d, a, b := st[u.dst:][:u.n], st[u.a:][:u.n], st[u.b:][:u.n]
+				for j := range d {
+					d[j] = mask &^ (a[j] & b[j])
+				}
+			}
+		case kNorL:
+			for _, u := range k.units[in.a:][:in.n] {
+				if u.n == 1 {
+					st[u.dst] = mask &^ (st[u.a] | st[u.b])
+					continue
+				}
+				d, a, b := st[u.dst:][:u.n], st[u.a:][:u.n], st[u.b:][:u.n]
+				for j := range d {
+					d[j] = mask &^ (a[j] | b[j])
+				}
+			}
+		case kXnorL:
+			for _, u := range k.units[in.a:][:in.n] {
+				if u.n == 1 {
+					st[u.dst] = mask &^ (st[u.a] ^ st[u.b])
+					continue
+				}
+				d, a, b := st[u.dst:][:u.n], st[u.a:][:u.n], st[u.b:][:u.n]
+				for j := range d {
+					d[j] = mask &^ (a[j] ^ b[j])
+				}
+			}
+		case kNotL:
+			for _, u := range k.units[in.a:][:in.n] {
+				if u.n == 1 {
+					st[u.dst] = mask &^ st[u.a]
+					continue
+				}
+				d, a := st[u.dst:][:u.n], st[u.a:][:u.n]
+				for j := range d {
+					d[j] = mask &^ a[j]
+				}
+			}
+		case kMoveL:
+			for _, u := range k.units[in.a:][:in.n] {
+				if u.n == 1 {
+					st[u.dst] = st[u.a]
+					continue
+				}
+				d, a := st[u.dst:][:u.n], st[u.a:][:u.n]
+				for j := range d {
+					d[j] = a[j]
+				}
 			}
 
 		case kChain:

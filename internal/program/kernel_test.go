@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // kgen decodes fuzz bytes into decisions; an exhausted input reads as
@@ -35,9 +36,10 @@ func (g *kgen) base(vars, n int) int32 { return int32(g.intn(vars - n + 1)) }
 // kernelProgram decodes a random valid program that exercises every
 // lowering pattern: single instructions of every opcode, multi-word
 // gate runs followed by the carry chain reading their temporaries (with
-// and without a first carry word), bare chains, bit + const0 runs and
-// filllown bit counts. Operand ranges are drawn from a small arena, so
-// destination, operand and temporary ranges overlap often.
+// and without a first carry word), bare chains, bit + const0 runs,
+// filllown bit counts, and long same-opcode sequences of runs over
+// arbitrary slots (run lists). Operand ranges are drawn from a small
+// arena, so destination, operand and temporary ranges overlap often.
 func kernelProgram(data []byte) *Program {
 	g := &kgen{data: data}
 	w := []int{8, 16, 32, 64}[g.intn(4)]
@@ -45,7 +47,7 @@ func kernelProgram(data []byte) *Program {
 	p := &Program{WordBits: w, NumVars: vars}
 	gates := []Op{OpAnd, OpOr, OpXor, OpNand, OpNor, OpXnor, OpNot, OpMove}
 	for steps := 1 + g.intn(24); steps > 0; steps-- {
-		switch g.intn(5) {
+		switch g.intn(6) {
 		case 0: // one instruction of any opcode
 			in := Instr{Op: Op(g.intn(int(numOps))), Dst: g.slot(vars), A: g.slot(vars), B: None}
 			switch in.Op {
@@ -88,9 +90,42 @@ func kernelProgram(data []byte) *Program {
 			for k := int32(0); k < int32(n); k++ {
 				p.Code = append(p.Code, Instr{Op: OpConst0, Dst: z + k, A: None, B: None})
 			}
+		case 5: // same-opcode runs (a run list), optionally ending in a gate + chain
+			p.Code = appendRunList(p.Code, g, vars, w, gates[g.intn(len(gates))])
 		}
 	}
 	return p
+}
+
+// appendRunList appends a sequence of op runs of mixed lengths over
+// arbitrary slots, the PC-set fold stage's shape. A unit's operands
+// often start at a slot an earlier unit wrote; the sequence may end with
+// one more run followed by the carry chain reading it.
+func appendRunList(code []Instr, g *kgen, vars, w int, op Op) []Instr {
+	var wrote []int32
+	unit := func(n int) int32 {
+		t, a, b := g.base(vars, n), g.base(vars, n), g.base(vars, n)
+		if len(wrote) > 0 && g.intn(2) == 0 {
+			a = min(wrote[g.intn(len(wrote))], int32(vars-n))
+		}
+		for k := int32(0); k < int32(n); k++ {
+			in := Instr{Op: op, Dst: t + k, A: a + k, B: None}
+			if op != OpNot && op != OpMove {
+				in.B = b + k
+			}
+			code = append(code, in)
+		}
+		wrote = append(wrote, t)
+		return t
+	}
+	for units := 2 + g.intn(10); units > 0; units-- {
+		unit(1 + g.intn(min(4, vars)))
+	}
+	if g.intn(3) == 0 {
+		n := 1 + g.intn(min(4, vars))
+		code = appendChain(code, g, vars, n, unit(n), w)
+	}
+	return code
 }
 
 // appendChain appends an n-element shlor carry chain over temporaries
@@ -168,8 +203,13 @@ func TestKernelRandomPrograms(t *testing.T) {
 }
 
 // TestKernelMerges pins the lowering of the parallel technique's
-// per-gate shape: a 4-word gate run with its carry chain is one
-// superinstruction, and an init bit with its const0 run another.
+// per-gate shape (a 4-word gate run with its carry chain is one
+// superinstruction, an init bit with its const0 run another) and of run
+// lists: same-opcode runs of mixed lengths over arbitrary slots are one
+// superinstruction, units may read what earlier units wrote, a list
+// stops before a run that fuses with the carry chain after it, a lone
+// multi-word run is a one-unit list and a lone single word a single
+// instruction.
 func TestKernelMerges(t *testing.T) {
 	p := &Program{WordBits: 32, NumVars: 16}
 	for k := int32(0); k < 4; k++ {
@@ -200,8 +240,8 @@ func TestKernelMerges(t *testing.T) {
 		{Op: OpShlOr, Dst: 2, A: 2, B: None, Sh: 1},
 		{Op: OpShlOr, Dst: 3, A: 3, B: 2, Sh: 1},
 	}}
-	if op := q.Kernel().code[0]; op.op != kAndN || op.n != 2 {
-		t.Fatalf("gate run not merged: %+v", q.Kernel().code)
+	if k := q.Kernel(); k.code[0].op != kAndL || !slices.Equal(k.listUnits(k.code[0]), []kunit{{2, 0, 4, 2}}) {
+		t.Fatalf("gate run not a one-unit list: %+v", k.code)
 	}
 	for _, in := range q.Kernel().code {
 		if in.op >= kAndShl && in.op <= kMoveShl1 {
@@ -209,7 +249,57 @@ func TestKernelMerges(t *testing.T) {
 		}
 	}
 	checkKernel(t, q, []byte{0x5a, 0xc3})
+
+	// Two 3-input nand gates over 3 and 1 time slots, emitted stage by
+	// stage: and (s0, s1), and (dst, s2), not. The second gate's first
+	// stage reads a slot the first gate's wrote.
+	r := &Program{WordBits: 64, NumVars: 32, Code: []Instr{
+		{Op: OpAnd, Dst: 10, A: 0, B: 3}, {Op: OpAnd, Dst: 11, A: 1, B: 4}, {Op: OpAnd, Dst: 12, A: 2, B: 5},
+		{Op: OpAnd, Dst: 20, A: 11, B: 8},
+		{Op: OpAnd, Dst: 10, A: 10, B: 16}, {Op: OpAnd, Dst: 11, A: 11, B: 17}, {Op: OpAnd, Dst: 12, A: 12, B: 18},
+		{Op: OpAnd, Dst: 20, A: 20, B: 6},
+		{Op: OpNot, Dst: 10, A: 10, B: None}, {Op: OpNot, Dst: 11, A: 11, B: None}, {Op: OpNot, Dst: 12, A: 12, B: None},
+		{Op: OpNot, Dst: 20, A: 20, B: None},
+	}}
+	k = r.Kernel()
+	want := [][]kunit{
+		{{10, 0, 3, 3}, {20, 11, 8, 1}, {10, 10, 16, 3}, {20, 20, 6, 1}},
+		{{10, 10, None, 3}, {20, 20, None, 1}},
+	}
+	if k.Ops() != 2 || k.code[0].op != kAndL || k.code[1].op != kNotL {
+		t.Fatalf("lowered %d superinstructions: %+v", k.Ops(), k.code)
+	}
+	for i, w := range want {
+		if got := k.listUnits(k.code[i]); !slices.Equal(got, w) {
+			t.Fatalf("list %d: units %+v, want %+v", i, got, w)
+		}
+	}
+	if k.Bytes() != 2*int(unsafe.Sizeof(kinstr{}))+6*int(unsafe.Sizeof(kunit{})) {
+		t.Fatalf("Bytes %d does not count the operand array", k.Bytes())
+	}
+	checkKernel(t, r, []byte{0x13, 0x9f, 0x44, 0xd0})
+
+	// A list ends before a run that fuses with its carry chain; the
+	// chained run keeps its gate+chain superinstruction.
+	q = &Program{WordBits: 16, NumVars: 16, Code: []Instr{
+		{Op: OpOr, Dst: 0, A: 1, B: 2},
+		{Op: OpOr, Dst: 3, A: 0, B: 5},
+		{Op: OpOr, Dst: 8, A: 0, B: 2}, {Op: OpOr, Dst: 9, A: 1, B: 3},
+		{Op: OpShlOr, Dst: 12, A: 8, B: None, Sh: 1}, {Op: OpShlOr, Dst: 13, A: 9, B: 8, Sh: 1},
+		{Op: OpXor, Dst: 6, A: 7, B: 10},
+	}}
+	k = q.Kernel()
+	if k.Ops() != 3 || k.code[0].op != kOrL || k.code[1].op != kOrShl || k.code[1].n != 2 || k.code[2].op != kXor {
+		t.Fatalf("lowered %d superinstructions: %+v", k.Ops(), k.code)
+	}
+	if got := k.listUnits(k.code[0]); !slices.Equal(got, []kunit{{0, 1, 2, 1}, {3, 0, 5, 1}}) {
+		t.Fatalf("list units %+v", got)
+	}
+	checkKernel(t, q, []byte{0x71, 0x0e})
 }
+
+// listUnits returns the units of run list in.
+func (k *Kernel) listUnits(in kinstr) []kunit { return k.units[in.a:][:in.n] }
 
 // TestKernelFollowsCode checks that replacing Code lowers again, and
 // that a Clone lowers its own kernel.

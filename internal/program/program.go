@@ -15,11 +15,15 @@
 // time; it is the reference semantics, and it runs the sub-slices of a
 // program that the sharded and activity-gated strategies execute.
 // Program.Run executes the program's Kernel: Code lowered once into
-// superinstructions, so that a multi-word field operation, a carry chain,
-// a gate with the shift that consumes its result, or an init bit with the
-// zeroing that follows it costs one dispatch. Run leaves the state exactly
-// as Exec over Code would; everything that counts instructions counts
-// Code.
+// superinstructions, so that a multi-word field operation, a sequence of
+// runs of one gate operation (a run list: one fold stage of every gate
+// of a class in a PC-set level), a carry chain, a gate with the shift
+// that consumes its result, or an init bit with the zeroing that follows
+// it costs one dispatch. Run leaves the state exactly as Exec over Code
+// would; everything that counts instructions counts Code.
+//
+// EmitGateEval and GateStage define how a gate function becomes
+// instructions, stage by stage, for every compiler.
 //
 // All instructions operate on logical words of configurable width W
 // (8, 16, 32 or 64 bits) stored in uint64 slots; W=32 matches the paper's

@@ -605,10 +605,11 @@ func TestHealthz(t *testing.T) {
 
 // TestProgramBytesC432 pins the cache's byte estimate for c432 under the
 // parallel technique: both programs' generated code (20-byte
-// instructions) and lowered kernels (24-byte superinstructions), 16
-// bytes per net for each pool member and the template, and the netlist
-// text. The old estimate, 16 bytes per generated instruction, counted
-// neither the instructions' real size nor the kernels.
+// instructions) and lowered kernels (24-byte superinstructions plus the
+// run lists' 16-byte units), 16 bytes per net for each pool member and
+// the template, and the netlist text. The old estimate, 16 bytes per
+// generated instruction, counted neither the instructions' real size nor
+// the kernels.
 func TestProgramBytesC432(t *testing.T) {
 	c, err := udsim.ISCAS85("c432")
 	if err != nil {
@@ -623,16 +624,22 @@ func TestProgramBytesC432(t *testing.T) {
 		t.Fatal("no programs")
 	}
 	code, ops := len(init.Code)+len(sim.Code), init.Kernel().Ops()+sim.Kernel().Ops()
-	if code != 526 || ops != 366 {
-		t.Fatalf("c432: %d instructions lowered to %d superinstructions, want 526 and 366", code, ops)
+	if code != 526 || ops != 347 {
+		t.Fatalf("c432: %d instructions lowered to %d superinstructions, want 526 and 347", code, ops)
+	}
+	// The simulation kernel's run lists hold 37 units in all.
+	const units = 37
+	kern := int64(init.Kernel().Bytes() + sim.Kernel().Bytes())
+	if kern != int64(ops)*24+units*16 {
+		t.Fatalf("kernels report %d bytes, want %d superinstructions at 24 and %d run-list units at 16", kern, int64(ops)*24+units*16, units)
 	}
 	nets := len(e.Circuit().Nets)
 	got := programBytes(e, 4, nets, 1000)
-	want := int64(cap(init.Code)+cap(sim.Code))*20 + int64(ops)*24 + int64(5*nets*16) + 1000
+	want := int64(cap(init.Code)+cap(sim.Code))*20 + kern + int64(5*nets*16) + 1000
 	if got != want {
 		t.Fatalf("estimate %d bytes, want %d", got, want)
 	}
-	if old := int64(code)*16 + int64(5*nets*16) + 1000; got < old+int64(code)*4+int64(ops)*24 {
+	if old := int64(code)*16 + int64(5*nets*16) + 1000; got < old+int64(code)*4+kern {
 		t.Fatalf("estimate %d bytes does not cover the code at 20 bytes per instruction plus the kernels (old estimate %d)", got, old)
 	}
 }

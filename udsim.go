@@ -895,7 +895,8 @@ func (p *CompiledSim) ApplyLanes(packed []uint64) error {
 }
 
 // LaneValueAt is ValueAt for one of the 64 data-parallel lanes
-// (ok=false under the parallel technique, which has no lanes).
+// (ok=false under the parallel technique, which has no lanes, and for a
+// lane outside [0, 64)).
 func (p *CompiledSim) LaneValueAt(n NetID, t, lane int) (bool, bool) {
 	l, ok := p.s.Technique().(laneSim)
 	if !ok {
